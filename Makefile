@@ -9,8 +9,9 @@
 #                                      +50%; generous because the committed
 #                                      baseline and the runner differ)
 #   EQ_SCALE        ?= preset          scale for the speedup-gated equivalence leg
-#   EQ_MIN_SPEEDUP  ?= factor          required vectorized-over-naive speedup
-#   OBS_SCALE       ?= preset          scale for the emission-overhead gate
+#   EQ_MIN_SPEEDUP  ?= factor          required speedup of production AGT-RAM
+#                                      over the naive reference oracle
+#   OBS_SCALE       ?= preset          scale for the eventing-overhead gate
 #   OBS_RETRIES     ?= n               re-measure attempts for the obs gate
 #   OUT_DIR         ?= dir             where campaign artifacts land
 
@@ -79,21 +80,21 @@ bench-compare:
 		--tolerance $(BENCH_TOLERANCE) \
 		$(if $(filter 1,$(BENCH_GATE)),--fail-on-regression,)
 
-# Prove the naive and vectorized AGT-RAM engines are bit-for-bit
-# identical (winners, second prices, placements, full event stream) and
-# that the vectorized engine actually earns its keep.  The tiny leg is
-# an identity-only check; the $(EQ_SCALE) leg also enforces the speedup
-# floor (see docs/performance.md for why tiny is excluded from it).
+# Prove production AGT-RAM is bit-for-bit identical to the naive
+# reference oracle (winners, second prices, placements, full event
+# stream) and that the delta engine actually earns its keep.  The tiny
+# leg is an identity-only check; the $(EQ_SCALE) leg also enforces the
+# speedup floor (see docs/performance.md for why tiny is excluded).
 equivalence:
 	python -m repro audit --compare-engines --scale tiny
 	python -m repro audit --compare-engines --scale $(EQ_SCALE) \
 		--repeats 5 --min-speedup $(EQ_MIN_SPEEDUP)
 
-# Emission gate: prove the buffered columnar path is byte-equivalent to
-# the legacy per-object path (deterministic, hard fail) and bound the
-# eventing-on overhead against the per-scale budget (noisy half;
-# re-measures on failure, keeping the best attempt — see
-# docs/observability.md "The emission gate").
+# Emission gate: bound the eventing-on overhead against the per-scale
+# budget by the upper bound of a bootstrap CI over paired off/on runs
+# (re-measures on failure, keeping the lowest bound — see
+# docs/observability.md "The emission gate").  Byte-equivalence of the
+# event stream is `make equivalence`.
 obs-gate:
 	python -m repro audit --emission-gate --scale $(OBS_SCALE) \
 		--retries $(OBS_RETRIES)

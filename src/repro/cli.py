@@ -27,7 +27,6 @@ from typing import Optional, Sequence
 
 from repro.core.agt_ram import run_agt_ram
 from repro.core.axioms import verify_axioms
-from repro.drp.delta import ENGINE_NAMES
 from repro.drp.instance import DRPInstance
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.instances import paper_instance
@@ -267,14 +266,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             if args.metrics_out
             else None
         )
-        placer_kwargs = (
-            {"AGT-RAM": {"engine": args.engine}}
-            if args.algorithm == "AGT-RAM"
-            else None
-        )
-        results = run_algorithms(
-            instance, [args.algorithm], seed=args.seed, placer_kwargs=placer_kwargs
-        )
+        results = run_algorithms(instance, [args.algorithm], seed=args.seed)
     res = results[args.algorithm]
     engine_note = (
         f"  engine {res.extra['engine']}" if "engine" in res.extra else ""
@@ -422,7 +414,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
         repeats=args.repeats,
         include_protocol=not args.no_protocol,
         event_sink=sink,
-        engine=args.engine,
         include_engine_compare=not args.no_engine_compare,
     )
     rows = [
@@ -447,8 +438,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
         if r["scenario"] == "engine_compare":
             verdict = "identical" if r["identical"] else "MISMATCH"
             print(
-                f"engine compare: naive {r['naive_wall_s'] * 1e3:.2f} ms vs "
-                f"vectorized {r['wall_s'] * 1e3:.2f} ms "
+                f"engine compare: reference oracle "
+                f"{r['naive_wall_s'] * 1e3:.2f} ms vs "
+                f"production {r['wall_s'] * 1e3:.2f} ms "
                 f"({r['speedup']:.2f}x, {verdict})"
             )
     path = write_document(doc, args.out or default_output_name())
@@ -466,27 +458,24 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 def cmd_audit(args: argparse.Namespace) -> int:
     """Offline verification of a recorded event log (Axioms 4/5), or —
-    with ``--compare-engines`` — a live naive-vs-vectorized equivalence
-    proof on a bench preset.
+    with ``--compare-engines`` — a live production-vs-reference-oracle
+    equivalence proof on a bench preset.
 
-    The compare mode runs AGT-RAM once per engine under logical event
-    time, diffs winners / payments / placements / the full event
-    stream, re-audits both logs, and times both engines uninstrumented.
-    Exit status is non-zero on any divergence, an audit violation, or a
-    speedup below ``--min-speedup``.
+    The compare mode runs production AGT-RAM and the reference oracle
+    once each under logical event time, diffs winners / payments /
+    placements / the full event stream, re-audits both logs, and times
+    both uninstrumented.  Exit status is non-zero on any divergence, an
+    audit violation, or a speedup below ``--min-speedup``.
     """
     if args.compare_engines:
-        from repro.drp.delta import HAVE_NUMPY, numpy_support_error
         from repro.obs.equivalence import compare_engines_at_scale, format_comparison
 
-        if not HAVE_NUMPY:
-            print(f"error: {numpy_support_error()}", file=sys.stderr)
-            return 2
-        cmp = compare_engines_at_scale(args.scale, repeats=args.repeats)
+        repeats = args.repeats if args.repeats is not None else 3
+        cmp = compare_engines_at_scale(args.scale, repeats=repeats)
         # The identity verdict is deterministic; the speedup is a wall
         # measurement on possibly-noisy shared hardware, so before
         # failing the gate on it alone, re-measure and keep the best
-        # attempt.  A genuinely slow engine fails every attempt.
+        # attempt.  A genuinely slow production path fails every attempt.
         attempt = 0
         while (
             cmp.identical
@@ -501,7 +490,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
                 f"re-measuring (attempt {attempt}/{args.retries})",
                 file=sys.stderr,
             )
-            retry = compare_engines_at_scale(args.scale, repeats=args.repeats)
+            retry = compare_engines_at_scale(args.scale, repeats=repeats)
             if retry.speedup > cmp.speedup:
                 cmp = retry
         print(format_comparison(cmp))
@@ -517,9 +506,9 @@ def cmd_audit(args: argparse.Namespace) -> int:
 
     if args.emission_gate:
         from repro.obs.overhead import (
-            compare_emission_paths,
             default_overhead_budget,
-            format_emission_comparison,
+            format_eventing_overhead,
+            measure_eventing_overhead,
         )
 
         budget = (
@@ -527,36 +516,33 @@ def cmd_audit(args: argparse.Namespace) -> int:
             if args.max_overhead is not None
             else default_overhead_budget(args.scale)
         )
-        cmp = compare_emission_paths(args.scale, repeats=args.repeats)
-        # Byte-equivalence is deterministic; the overhead is a timing
-        # measurement on possibly-noisy shared hardware, so before
-        # failing the gate on it alone, re-measure and keep the best
-        # attempt.  A genuinely slow emission path fails every attempt.
+        pairs = {} if args.repeats is None else {"repeats": args.repeats}
+        cmp = measure_eventing_overhead(args.scale, **pairs)
+        # The overhead is a timing measurement on possibly-noisy shared
+        # hardware, so before failing the gate, re-measure and keep the
+        # attempt with the lowest upper bound.  A genuinely slow
+        # emission path fails every attempt.
         attempt = 0
-        while (
-            cmp.ok
-            and cmp.overhead_percent > budget
-            and attempt < args.retries
-        ):
+        while not cmp.within(budget) and attempt < args.retries:
             attempt += 1
             print(
-                f"overhead {cmp.overhead_percent:.2f}% above {budget:.2f}%; "
-                f"re-measuring (attempt {attempt}/{args.retries})",
+                f"overhead CI upper bound {cmp.overhead.hi:.2f}% above "
+                f"{budget:.2f}%; re-measuring "
+                f"(attempt {attempt}/{args.retries})",
                 file=sys.stderr,
             )
-            retry = compare_emission_paths(args.scale, repeats=args.repeats)
-            if retry.overhead_percent < cmp.overhead_percent:
+            retry = measure_eventing_overhead(args.scale, **pairs)
+            if retry.overhead.hi < cmp.overhead.hi:
                 cmp = retry
-        print(format_emission_comparison(cmp))
-        failed = not cmp.ok
-        if cmp.overhead_percent > budget:
+        print(format_eventing_overhead(cmp))
+        if not cmp.within(budget):
             print(
-                f"FAIL: eventing overhead {cmp.overhead_percent:.2f}% above "
-                f"budget {budget:.2f}%",
+                f"FAIL: eventing overhead CI upper bound "
+                f"{cmp.overhead.hi:.2f}% above budget {budget:.2f}%",
                 file=sys.stderr,
             )
-            failed = True
-        return 1 if failed else 0
+            return 1
+        return 0
 
     if not args.log:
         print(
@@ -1102,7 +1088,6 @@ def cmd_shard(args: argparse.Namespace) -> int:
             result = ShardedAGTRam(
                 n_regions=args.regions,
                 plan=plan,
-                engine=args.engine,
                 seed=args.shard_seed,
             ).run(instance)
         return result, sink
@@ -1474,12 +1459,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--algorithm", "-a", default="AGT-RAM",
         choices=list(PAPER_ALGORITHMS) + ["Random"],
     )
-    p.add_argument(
-        "--engine",
-        choices=list(ENGINE_NAMES),
-        default="auto",
-        help="AGT-RAM benefit engine (ignored by other algorithms)",
-    )
     p.add_argument("--output", "-o", help="save scheme + summary")
     _add_export_args(p)
     p.set_defaults(func=cmd_run)
@@ -1518,16 +1497,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--algorithms", nargs="+", help="placement algorithms to record"
     )
     p.add_argument(
-        "--engine",
-        choices=list(ENGINE_NAMES),
-        default="auto",
-        help="AGT-RAM benefit engine (default auto: vectorized when available)",
-    )
-    p.add_argument(
         "--no-engine-compare",
         action="store_true",
         dest="no_engine_compare",
-        help="skip the naive-vs-vectorized engine_compare record",
+        help="skip the production-vs-reference-oracle engine_compare record",
     )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
@@ -1567,7 +1540,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "audit",
         help="verify a recorded event log offline (winner/payment/capacity), "
-        "or prove naive/vectorized engine equivalence",
+        "or prove production AGT-RAM equals the reference oracle",
     )
     p.add_argument(
         "log",
@@ -1599,24 +1572,25 @@ def build_parser() -> argparse.ArgumentParser:
         "--emission-gate",
         action="store_true",
         dest="emission_gate",
-        help="prove buffered columnar emission is byte-equivalent to the "
-        "legacy per-object path on a bench preset and measure its "
-        "eventing-on overhead",
+        help="measure AGT-RAM's eventing-on overhead on a bench preset "
+        "(paired runs, bootstrap CI)",
     )
     p.add_argument(
         "--max-overhead",
         type=float,
         default=None,
         dest="max_overhead",
-        help="fail --emission-gate if eventing overhead exceeds this "
-        "percent (default: the per-scale budget, 8%% at large)",
+        help="fail --emission-gate if the overhead CI's upper bound "
+        "exceeds this percent (default: the per-scale budget, 8%% at "
+        "large)",
     )
     p.add_argument(
         "--compare-engines",
         action="store_true",
         dest="compare_engines",
-        help="run AGT-RAM with both engines on a bench preset and verify "
-        "bit-for-bit identical winners, payments, and events",
+        help="run production AGT-RAM and the reference oracle on a bench "
+        "preset and verify bit-for-bit identical winners, payments, and "
+        "events",
     )
     p.add_argument(
         "--scale",
@@ -1627,23 +1601,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--repeats",
         type=int,
-        default=3,
-        help="uninstrumented timing runs per engine (wall = best; default 3)",
+        default=None,
+        help="timing runs: per side for --compare-engines (wall = best; "
+        "default 3), off/on pairs for --emission-gate (default 30)",
     )
     p.add_argument(
         "--min-speedup",
         type=float,
         default=0.0,
         dest="min_speedup",
-        help="fail unless vectorized is at least this many times faster "
+        help="fail unless production is at least this many times faster "
+        "than the reference oracle "
         "(default 0 = identity check only)",
     )
     p.add_argument(
         "--retries",
         type=int,
         default=2,
-        help="re-measurements before failing the speedup gate on a "
-        "noisy machine (default 2; identity mismatches never retry)",
+        help="re-measurements before failing a timing gate on a noisy "
+        "machine (default 2; identity mismatches never retry)",
     )
     p.set_defaults(func=cmd_audit)
 
@@ -1895,10 +1871,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--horizon", type=int, default=None,
         help="rounds covered by random schedules (default: the healthy "
         "sharded run's length)",
-    )
-    p.add_argument(
-        "--engine", choices=list(ENGINE_NAMES), default="auto",
-        help="benefit engine for the regional games (default auto)",
     )
     p.add_argument(
         "--plan", help="run exactly this partition schedule JSON instead "

@@ -40,7 +40,7 @@ import numpy as np
 
 from repro.core.payments import second_best_payment
 from repro.drp.cost import total_otc
-from repro.drp.delta import ENGINE_NAMES, make_local_engine, resolve_engine
+from repro.drp.delta import DeltaBenefitEngine
 from repro.drp.instance import DRPInstance
 from repro.drp.state import ReplicationState
 from repro.errors import ConfigurationError
@@ -110,17 +110,11 @@ class HierarchicalAGTRam:
         Regions whose mechanism is down; their servers abstain.
     seed:
         Seed for the proximity partition.
-    engine:
-        Benefit-engine selector for the non-cooperative regional games:
-        ``"auto"`` (vectorized when numpy allows, the default),
-        ``"naive"``, or ``"vectorized"`` — the same passthrough as the
-        flat mechanism (:mod:`repro.drp.delta`); the two engines are
-        bit-for-bit identical at the regional level.  The cooperative
-        game prices regional coalitions through
-        :class:`~repro.drp.global_engine.RegionalBenefitEngine`, which
-        has no vectorized implementation: requesting
-        ``engine="vectorized"`` with ``regional_game="cooperative"``
-        is a configuration error.
+
+    The non-cooperative regional games run over the delta-maintained
+    :class:`~repro.drp.delta.DeltaBenefitEngine`, like the flat
+    mechanism; the cooperative game prices regional coalitions through
+    :class:`~repro.drp.global_engine.RegionalBenefitEngine`.
     """
 
     n_regions: int = 4
@@ -130,7 +124,6 @@ class HierarchicalAGTRam:
     failed_regions: Sequence[int] = field(default_factory=tuple)
     seed: SeedLike = None
     max_rounds: Optional[int] = None
-    engine: str = "auto"
 
     def __post_init__(self) -> None:
         if self.mode not in ("sequential", "concurrent"):
@@ -141,15 +134,6 @@ class HierarchicalAGTRam:
             raise ConfigurationError(
                 "regional_game must be 'non-cooperative' or 'cooperative', "
                 f"got {self.regional_game!r}"
-            )
-        if self.engine not in ENGINE_NAMES:
-            raise ConfigurationError(
-                f"engine must be one of {ENGINE_NAMES}, got {self.engine!r}"
-            )
-        if self.regional_game == "cooperative" and self.engine == "vectorized":
-            raise ConfigurationError(
-                "the cooperative regional game has no vectorized engine; "
-                "use engine='auto' or 'naive'"
             )
 
     # -- helpers -----------------------------------------------------------
@@ -194,10 +178,8 @@ class HierarchicalAGTRam:
                 from repro.drp.global_engine import RegionalBenefitEngine
 
                 engine = RegionalBenefitEngine(instance, state, part)
-                engine_name = "naive"
             else:
-                engine_name = resolve_engine(self.engine)
-                engine = make_local_engine(engine_name, instance, state)
+                engine = DeltaBenefitEngine(instance, state)
             live_regions = [r for r in region_ids if r not in failed]
             region_masks = {r: np.flatnonzero(part == r) for r in live_regions}
 
@@ -379,7 +361,7 @@ class HierarchicalAGTRam:
                 "region_stats": stats,
                 "failed_regions": sorted(failed),
                 "mode": self.mode,
-                "engine": engine_name,
+                "engine": engine.engine_name,
             },
         )
 

@@ -30,8 +30,9 @@ naive argmax, not merely equivalent):
 
 Dirty rows are rescanned with the same elementwise expression and the
 same ``argmax(axis=1)`` the naive engine uses, so IEEE-754 semantics and
-tie-breaks agree exactly — ``repro audit`` and the ``engine-equivalence``
-CI job verify winners, second prices and event logs are identical.
+tie-breaks agree exactly — ``repro audit --compare-engines`` and the
+``engine-equivalence`` CI job verify that the mechanism over this engine
+reproduces the reference oracle's winners, second prices and event logs.
 
 Per round the engine costs O(M) for the argmax over cached bests plus
 O(|dirty|·N) for the rescans, instead of O(M·N); empirically |dirty| is
@@ -43,85 +44,27 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.drp.benefit import NEG_INF, BenefitEngine
+from repro.drp.benefit import NEG_INF
 from repro.drp.instance import DRPInstance
 from repro.drp.state import ReplicationState
-from repro.errors import ConfigurationError
 from repro.obs import tracer as obs
-
-#: Engine names accepted by :func:`resolve_engine` and every ``engine=``
-#: knob (AGTRam, the simulator, ``python -m repro bench``).
-ENGINE_NAMES = ("auto", "naive", "vectorized")
-
-#: Lowest numpy version the vectorized fast path is tested against (the
-#: bound declared in pyproject.toml).
-MIN_NUMPY_VERSION = (1, 24)
-
-try:  # pragma: no cover - exercised via monkeypatch in tests
-    _parts = np.__version__.split(".")[:2]
-    _version = tuple(int(p) for p in _parts)
-except (AttributeError, ValueError):  # pragma: no cover
-    _version = (0, 0)
-
-#: Whether the vectorized engine may be used.  numpy is a hard package
-#: dependency, but the fast path additionally requires the declared
-#: version bound; tests monkeypatch this to exercise the fallback.
-HAVE_NUMPY = _version >= MIN_NUMPY_VERSION
-
-
-def numpy_support_error() -> str:
-    """Human-readable reason the vectorized engine is unavailable."""
-    return (
-        "the vectorized engine requires numpy >= "
-        f"{'.'.join(str(v) for v in MIN_NUMPY_VERSION)} "
-        f"(found {np.__version__!r}); install the bound declared in "
-        "pyproject.toml or select engine='naive'"
-    )
-
-
-def resolve_engine(name: str) -> str:
-    """Resolve an ``engine=`` knob to a concrete engine name.
-
-    ``"auto"`` picks ``"vectorized"`` when the numpy bound is satisfied
-    and silently falls back to ``"naive"`` otherwise; an *explicit*
-    ``"vectorized"`` request without numpy support raises a
-    :class:`~repro.errors.ConfigurationError` with a clear message
-    instead of an ImportError traceback.
-    """
-    if name not in ENGINE_NAMES:
-        raise ConfigurationError(
-            f"unknown engine {name!r}; expected one of {ENGINE_NAMES}"
-        )
-    if name == "auto":
-        return "vectorized" if HAVE_NUMPY else "naive"
-    if name == "vectorized" and not HAVE_NUMPY:
-        raise ConfigurationError(numpy_support_error())
-    return name
-
-
-def make_local_engine(name: str, instance: DRPInstance, state: ReplicationState):
-    """Construct the local-CoR oracle for a resolved engine name."""
-    resolved = resolve_engine(name)
-    if resolved == "vectorized":
-        return DeltaBenefitEngine(instance, state)
-    return BenefitEngine(instance, state)
 
 
 class DeltaBenefitEngine:
     """Dirty-set-maintained dominant reports over the local CoR oracle.
 
-    API-compatible with :class:`~repro.drp.benefit.BenefitEngine`
-    (``best_per_server`` / ``row`` / ``value_at`` / ``eligible_counts`` /
-    ``refresh_object`` / ``refresh_server`` / ``notify_allocation`` /
-    ``resync`` / ``matrix``), but stores only the per-agent best columns;
-    rows and the full matrix are materialized on demand.
+    Serves the clearing loops of :class:`~repro.core.agt_ram.AGTRam`,
+    the hierarchical and the sharded runtimes through the subset of
+    :class:`~repro.drp.benefit.BenefitEngine`'s API they use
+    (``best_per_server`` / ``row`` / ``value_at`` / ``refresh_object`` /
+    ``refresh_server`` / ``notify_allocation`` / ``resync``), plus the
+    zero-copy :meth:`best_view`.  It stores only the per-agent best
+    columns; a row is materialized on demand.
     """
 
     engine_name = "vectorized"
 
     def __init__(self, instance: DRPInstance, state: ReplicationState):
-        if not HAVE_NUMPY:
-            raise ConfigurationError(numpy_support_error())
         if state.instance is not instance:
             raise ValueError("state does not belong to instance")
         with obs.current().span("delta_engine/init"):
@@ -295,33 +238,6 @@ class DeltaBenefitEngine:
             self.instance.sizes[k] > self.state.residual[server]
         ):
             return float(NEG_INF)
-        return float(
-            self.rstat[server, k] * self.state.nn_dist[server, k]
-            - self.wterm[server, k]
-        )
-
-    def eligible_counts(self, servers: np.ndarray) -> np.ndarray:
-        """Per-agent count of eligible objects (|L_i|) for the given rows."""
-        eligible = (
-            self.instance.sizes[None, :] <= self.state.residual[servers, None]
-        ) & ~self.state.x[servers]
-        return eligible.sum(axis=1)
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """Full (M, N) masked benefit matrix, materialized on demand.
-
-        O(M·N) — for debugging and API compatibility only; the hot path
-        never calls it.
-        """
-        values = self.rstat * self.state.nn_dist - self.wterm
-        eligible = (
-            self.instance.sizes[None, :] <= self.state.residual[:, None]
-        ) & ~self.state.x
-        return np.where(eligible, values, NEG_INF)
-
-    def local_benefit(self, server: int, k: int) -> float:
-        """Eq. 5 valuation of one cell, ignoring eligibility masking."""
         return float(
             self.rstat[server, k] * self.state.nn_dist[server, k]
             - self.wterm[server, k]

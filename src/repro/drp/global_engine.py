@@ -106,6 +106,8 @@ class RegionalBenefitEngine:
     allocation, row re-mask on capacity change.
     """
 
+    engine_name = "regional"
+
     def __init__(
         self,
         instance: DRPInstance,

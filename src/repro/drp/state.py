@@ -130,6 +130,24 @@ class ReplicationState:
 
     # -- incremental OTC tracking -------------------------------------------
 
+    def otc_terms(self) -> tuple[float, np.ndarray]:
+        """``(otc, read_k)`` of the current scheme — the seed of every
+        incremental OTC settlement (:meth:`begin_otc_tracking` and the
+        mechanism's flush-time ledger).
+
+        ``read_k[k] = Σ_i rstat_ik · nn_dist_ik`` is object k's read
+        cost.  A primaries-only scheme returns the instance's cached
+        terms (treat the array as read-only); a warm-started one reduces
+        its live NN tables once, O(M·N).
+        """
+        inst = self.instance
+        if self.n_replicas_added == 0:
+            return inst.primary_otc_terms()
+        rstat, wterm = inst.local_value_terms()
+        read_k = np.einsum("ik,ik->k", rstat, self.nn_dist)
+        kept = float(np.einsum("ik,ik->", self.x, wterm))
+        return float(read_k.sum()) + inst.primary_ship_total() + kept, read_k
+
     def begin_otc_tracking(self) -> float:
         """Start delta-maintaining the scheme's total OTC across commits.
 
@@ -149,23 +167,14 @@ class ReplicationState:
         telemetry.  Returns the starting OTC.
         """
         inst = self.instance
-        rstat, wterm = inst.local_value_terms()
-        if self.n_replicas_added == 0:
-            otc0, read_k = inst.primary_otc_terms()
-            self._otc_value = otc0
-            self._otc_read_k = read_k.copy()
-        else:
-            read_k = np.einsum("ik,ik->k", rstat, self.nn_dist)
-            kept = float(np.einsum("ik,ik->", self.x, wterm))
-            self._otc_read_k = read_k
-            self._otc_value = (
-                float(read_k.sum()) + inst.primary_ship_total() + kept
-            )
+        otc0, read_k = self.otc_terms()
+        self._otc_value = otc0
+        self._otc_read_k = read_k.copy()
         # Transposed copy: the per-commit delta dots one object's
         # read-scale row — contiguous in (N, M) layout, one cache/TLB
         # miss per element in the (M, N) one.
         self._otc_rstat_rows = inst.read_scale_rows()
-        self._otc_wterm = wterm
+        self._otc_wterm = inst.local_value_terms()[1]
         # Contiguous scratch for the masked read-cost delta each commit
         # computes inside :meth:`add_replica`.
         self._otc_scratch = np.empty(inst.n_servers)
@@ -219,10 +228,11 @@ class ReplicationState:
             # new replicator's update-keeping term.  The column is staged
             # contiguous first: einsum's reduction order depends on
             # operand strides, and over contiguous rows it matches the
-            # batched ``einsum("rj,rj->r", ...)`` the columnar flush path
-            # computes over its reconstructed copies of the same columns
-            # — which is what keeps the two emission paths' OTC floats
-            # bit-identical.
+            # batched ``einsum("rj,rj->r", ...)`` the mechanism's flush
+            # ledger computes over its reconstructed copies of the same
+            # columns — which is what keeps tracker-settled OTC floats
+            # (the reference oracle's, the batched step's) bit-identical
+            # to the ledger's.
             scratch = self._otc_scratch
             np.copyto(scratch, dist_col)
             new_rk = float(np.einsum("j,j->", self._otc_rstat_rows[k], scratch))

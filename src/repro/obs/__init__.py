@@ -27,7 +27,6 @@ JSON schemas.
 from repro.obs.events import (
     NULL_SINK,
     EventSink,
-    RecordingSink,
     RoundSeries,
 )
 from repro.obs.events import capture as capture_events
@@ -51,7 +50,6 @@ __all__ = [
     "install",
     "NULL_SINK",
     "EventSink",
-    "RecordingSink",
     "RoundSeries",
     "capture_events",
     "current_sink",

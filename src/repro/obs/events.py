@@ -27,18 +27,13 @@ good for ordering and durations, meaningless across processes.
 
 from __future__ import annotations
 
-import math
 import time
-from array import array
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import asdict, dataclass, field, fields
 from typing import Any, ClassVar, Iterable, Iterator, Optional
 
-try:  # numpy backs the columnar buffers when present
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is a core dependency
-    _np = None  # type: ignore[assignment]
+import numpy as _np
 
 __all__ = [
     "EVENT_SCHEMA_VERSION",
@@ -78,7 +73,6 @@ __all__ = [
     "logical_time",
     "EventSink",
     "NullSink",
-    "RecordingSink",
     "ColumnarSink",
     "NULL_SINK",
     "current",
@@ -109,7 +103,7 @@ def _wall_now_block(n: int) -> tuple[float, float]:
     ``perf_counter`` reading (``step`` 0) — ordering is preserved and
     stamps stay non-decreasing across blocks.  :func:`logical_time`
     swaps this for a tick-per-event variant so buffered emission stays
-    byte-identical to the per-object path.
+    byte-identical to per-decision emission.
     """
     return now(), 0.0
 
@@ -814,9 +808,10 @@ def logical_time() -> Iterator[None]:
 
     :func:`now_block` is swapped from the same counter: a block of ``n``
     events consumes ``n`` consecutive ticks (``step`` 1.0), so a flushed
-    :class:`RoundBlock` expands to exactly the timestamps the per-object
-    path would have produced — integer-valued floats are exact, which is
-    what makes buffered and legacy logs byte-identical under this clock.
+    :class:`RoundBlock` expands to exactly the timestamps per-decision
+    emission would have produced — integer-valued floats are exact,
+    which is what makes buffered logs and the reference oracle's
+    per-decision logs byte-identical under this clock.
     """
     global now, now_block
     previous = (now, now_block)
@@ -858,10 +853,6 @@ class RoundBlock:
     at flush time as ``t0 + t_step * j`` over the block's expanded event
     sequence (see :func:`iter_block_events`), so expansion is
     deterministic no matter when — or how often — it happens.
-
-    Arrays are numpy when available; the :mod:`array`-module fallback
-    stores the bid matrices flat (row ``i`` is ``[i*n_agents :
-    (i+1)*n_agents]``).
     """
 
     base_round: int
@@ -870,72 +861,55 @@ class RoundBlock:
     payment_rule: str
     t0: float
     t_step: float
-    bid_vals: Any
-    bid_objs: Any
-    winners: Any
-    objs: Any
-    residuals: Any
-    payments: Any
-    otcs: Any
-    obj_sizes: Any
-    n_bids: Any
-
-    def bid_row(self, i: int) -> Any:
-        """Round ``i``'s reported values, one per agent (−inf = no bid)."""
-        if _np is not None and isinstance(self.bid_vals, _np.ndarray):
-            return self.bid_vals[i]
-        m = self.n_agents
-        return self.bid_vals[i * m : (i + 1) * m]
-
-    def obj_row(self, i: int) -> Any:
-        """Round ``i``'s reported objects, aligned with :meth:`bid_row`."""
-        if _np is not None and isinstance(self.bid_objs, _np.ndarray):
-            return self.bid_objs[i]
-        m = self.n_agents
-        return self.bid_objs[i * m : (i + 1) * m]
+    bid_vals: _np.ndarray
+    bid_objs: _np.ndarray
+    winners: _np.ndarray
+    objs: _np.ndarray
+    residuals: _np.ndarray
+    payments: _np.ndarray
+    otcs: _np.ndarray
+    obj_sizes: _np.ndarray
+    n_bids: _np.ndarray
 
     @property
     def n_committed(self) -> int:
         """Rows that committed a replica (``winners >= 0``)."""
-        return sum(1 for i in range(self.rounds) if self.winners[i] >= 0)
+        return int(_np.count_nonzero(self.winners >= 0))
 
     @property
     def n_events(self) -> int:
         """Events this block expands to: per round, RoundStart + one
         BidEvent per finite report + RoundEnd, plus Winner/Payment/
         NNUpdate for committed rounds."""
-        bids = int(sum(self.n_bids))
+        bids = int(self.n_bids.sum())
         return bids + 2 * self.rounds + 3 * self.n_committed
 
     @property
     def nbytes(self) -> int:
         """Raw byte size of the columnar payload."""
-        total = 0
-        for col in (
-            self.bid_vals,
-            self.bid_objs,
-            self.winners,
-            self.objs,
-            self.residuals,
-            self.payments,
-            self.otcs,
-            self.obj_sizes,
-            self.n_bids,
-        ):
-            if _np is not None and isinstance(col, _np.ndarray):
-                total += col.nbytes
-            else:
-                total += len(col) * col.itemsize
-        return total
+        return sum(
+            col.nbytes
+            for col in (
+                self.bid_vals,
+                self.bid_objs,
+                self.winners,
+                self.objs,
+                self.residuals,
+                self.payments,
+                self.otcs,
+                self.obj_sizes,
+                self.n_bids,
+            )
+        )
 
 
 def iter_block_events(block: RoundBlock) -> Iterator[Event]:
     """Expand a :class:`RoundBlock` into the per-object event sequence.
 
     Yields exactly the events — same order, same python-native field
-    values, same timestamps under :func:`logical_time` — that the legacy
-    per-decision path emits for the same rounds: ``RoundStart``, one
-    ``BidEvent`` per finite report in ascending agent order, then
+    values, same timestamps under :func:`logical_time` — that a
+    per-decision emitter produces for the same rounds: ``RoundStart``,
+    one ``BidEvent`` per finite report in ascending agent order, then
     ``WinnerEvent``/``PaymentEvent``/``NNUpdateEvent`` when the round
     committed, and ``RoundEnd``.
     """
@@ -943,18 +917,13 @@ def iter_block_events(block: RoundBlock) -> Iterator[Event]:
     step = block.t_step
     rule = block.payment_rule
     m = block.n_agents
-    numpy_rows = _np is not None and isinstance(block.bid_vals, _np.ndarray)
     for i in range(block.rounds):
         rnd = block.base_round + i
         yield RoundStart(t=t, round=rnd)
         t += step
-        vals = block.bid_row(i)
-        objs = block.obj_row(i)
-        if numpy_rows:
-            agents = _np.nonzero(_np.isfinite(vals))[0].tolist()
-        else:
-            agents = [a for a in range(m) if math.isfinite(vals[a])]
-        for a in agents:
+        vals = block.bid_vals[i]
+        objs = block.bid_objs[i]
+        for a in _np.nonzero(_np.isfinite(vals))[0].tolist():
             yield BidEvent(
                 t=t,
                 round=rnd,
@@ -999,18 +968,13 @@ def iter_block_events(block: RoundBlock) -> Iterator[Event]:
 class ColumnarRoundBuffer:
     """Preallocated struct-of-arrays ring for hot-loop round emission.
 
-    The mechanism's tight loop appends one row per round with scalar
-    writes (:meth:`stage` the pre-commit bid vectors, then
-    :meth:`commit` / :meth:`close` the round scalars) and flushes the
-    ring into the active sink once it fills — or once at run end.  All
-    derivable per-event data (timestamps, bid counts, object sizes) is
-    computed vectorized at :meth:`flush`, so the per-round cost is a
-    handful of array stores.
-
-    numpy-backed when available; otherwise flat :mod:`array`-module
-    columns (same layout, scalar python writes).  The hot path may bind
-    the column attributes locally and maintain :attr:`n` itself — the
-    arrays, not the methods, are the interface the tight loop relies on.
+    The mechanism's clearing loop appends one row per round —
+    :meth:`stage` the pre-commit reports, then :meth:`commit` /
+    :meth:`close` the round scalars — and flushes the ring into the
+    active sink once it fills (:attr:`full`), and once at run end.  The
+    remaining per-event data (timestamps, object sizes) is derived
+    vectorized at :meth:`flush`, so the per-round cost is a handful of
+    array stores.
     """
 
     def __init__(
@@ -1021,78 +985,49 @@ class ColumnarRoundBuffer:
         capacity: int = 512,
         base_round: int = 0,
         payment_rule: str = "second_price",
-        backend: Optional[str] = None,
     ) -> None:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         if n_agents < 1:
             raise ValueError("n_agents must be >= 1")
-        if backend is None:
-            backend = "numpy" if _np is not None else "array"
-        if backend not in ("numpy", "array"):
-            raise ValueError(f"unknown buffer backend {backend!r}")
-        if backend == "numpy" and _np is None:
-            raise ValueError("numpy backend requested but numpy is missing")
-        self.backend = backend
         self.n_agents = n_agents
         self.capacity = capacity
         self.base_round = base_round
         self.payment_rule = payment_rule
-        self.sizes = sizes
+        self.sizes = _np.asarray(sizes)
         #: Rows currently staged+committed; the next row index.
         self.n = 0
-        #: Set by staging loops that fill :attr:`n_bids` themselves —
-        #: counting finite reports while the bid row is still cache-hot
-        #: beats re-reading the whole ring at :meth:`flush`, which is
-        #: what happens when this is False.
-        self.staged_n_bids = False
         # Scratch that never leaves the buffer is allocated once; only
         # the columns handed off inside RoundBlocks are re-armed per
         # flush (the sink keeps the old ones).
-        if self.backend == "numpy":
-            self._finite = _np.empty((capacity, n_agents), dtype=bool)
+        self._finite = _np.empty(n_agents, dtype=bool)
         self._alloc()
 
     def _alloc(self) -> None:
         cap, m = self.capacity, self.n_agents
-        if self.backend == "numpy":
-            self.bid_vals = _np.empty((cap, m), dtype=_np.float64)
-            # int32 halves the page-fault/bandwidth bill per flush; object
-            # indices always fit (N < 2^31), and expansion re-casts to
-            # python ints anyway.
-            self.bid_objs = _np.empty((cap, m), dtype=_np.int32)
-            self.winners = _np.empty(cap, dtype=_np.int64)
-            self.objs = _np.empty(cap, dtype=_np.int64)
-            self.residuals = _np.empty(cap, dtype=_np.int64)
-            self.payments = _np.empty(cap, dtype=_np.float64)
-            self.otcs = _np.empty(cap, dtype=_np.float64)
-            self.n_bids = _np.empty(cap, dtype=_np.int64)
-        else:
-            self.bid_vals = array("d", bytes(8 * cap * m))
-            self.bid_objs = array("q", bytes(8 * cap * m))
-            self.winners = array("q", bytes(8 * cap))
-            self.objs = array("q", bytes(8 * cap))
-            self.residuals = array("q", bytes(8 * cap))
-            self.payments = array("d", bytes(8 * cap))
-            self.otcs = array("d", bytes(8 * cap))
-            self.n_bids = array("q", bytes(8 * cap))
+        self.bid_vals = _np.empty((cap, m), dtype=_np.float64)
+        # int32 halves the page-fault/bandwidth bill per flush; object
+        # indices always fit (N < 2^31), and expansion re-casts to
+        # python ints anyway.
+        self.bid_objs = _np.empty((cap, m), dtype=_np.int32)
+        self.winners = _np.empty(cap, dtype=_np.int64)
+        self.objs = _np.empty(cap, dtype=_np.int64)
+        self.residuals = _np.empty(cap, dtype=_np.int64)
+        self.payments = _np.empty(cap, dtype=_np.float64)
+        self.otcs = _np.empty(cap, dtype=_np.float64)
+        self.n_bids = _np.empty(cap, dtype=_np.int64)
 
     @property
     def full(self) -> bool:
         return self.n >= self.capacity
 
     def stage(self, vals: Any, objs: Any) -> None:
-        """Copy the round's pre-commit reports into the next row."""
+        """Copy the round's pre-commit reports into the next row and
+        count its finite reports while the row is cache-hot."""
         i = self.n
-        if self.backend == "numpy":
-            self.bid_vals[i] = vals
-            self.bid_objs[i] = objs
-        else:
-            m = self.n_agents
-            self.bid_vals[i * m : (i + 1) * m] = array("d", vals)
-            self.bid_objs[i * m : (i + 1) * m] = array(
-                "q", [int(o) for o in objs]
-            )
+        self.bid_vals[i] = vals
+        self.bid_objs[i] = objs
+        self.n_bids[i] = _np.count_nonzero(_np.isfinite(vals, out=self._finite))
 
     def commit(
         self,
@@ -1100,9 +1035,13 @@ class ColumnarRoundBuffer:
         obj: int,
         residual_before: int,
         payment: float,
-        otc: float,
+        otc: float = 0.0,
     ) -> None:
-        """Record the staged round's commit scalars and advance."""
+        """Record the staged round's commit scalars and advance.
+
+        ``otc`` may be left for the caller to settle in :attr:`otcs`
+        before :meth:`flush` (the mechanism's ledger does, per flush).
+        """
         i = self.n
         self.winners[i] = winner
         self.objs[i] = obj
@@ -1111,7 +1050,7 @@ class ColumnarRoundBuffer:
         self.otcs[i] = otc
         self.n = i + 1
 
-    def close(self, otc: float) -> None:
+    def close(self, otc: float = 0.0) -> None:
         """Record the staged round as terminal (no commit) and advance."""
         i = self.n
         self.winners[i] = -1
@@ -1132,85 +1071,31 @@ class ColumnarRoundBuffer:
         rows = self.n
         if rows == 0:
             return None
-        m = self.n_agents
-        if self.backend == "numpy":
-            bid_vals = self.bid_vals[:rows]
-            bid_objs = self.bid_objs[:rows]
-            winners = self.winners[:rows]
-            objs = self.objs[:rows]
-            if self.staged_n_bids:
-                n_bids = self.n_bids[:rows]
-            else:
-                n_bids = _np.count_nonzero(
-                    _np.isfinite(bid_vals, out=self._finite[:rows]), axis=1
-                )
-            committed = winners >= 0
-            sizes = _np.asarray(self.sizes)
-            obj_sizes = _np.where(
-                committed, sizes[_np.where(committed, objs, 0)], 0
-            )
-            n_events = int(n_bids.sum()) + 2 * rows + 3 * int(
-                committed.sum()
-            )
-            block_cols = (
-                bid_vals,
-                bid_objs,
-                winners,
-                objs,
-                self.residuals[:rows],
-                self.payments[:rows],
-                self.otcs[:rows],
-                obj_sizes,
-                n_bids,
-            )
-        else:
-            bid_vals = self.bid_vals[: rows * m]
-            bid_objs = self.bid_objs[: rows * m]
-            winners = self.winners[:rows]
-            objs = self.objs[:rows]
-            if self.staged_n_bids:
-                n_bids = self.n_bids[:rows]
-            else:
-                n_bids = array(
-                    "q",
-                    (
-                        sum(
-                            1
-                            for a in range(m)
-                            if math.isfinite(bid_vals[i * m + a])
-                        )
-                        for i in range(rows)
-                    ),
-                )
-            obj_sizes = array(
-                "q",
-                (
-                    int(self.sizes[objs[i]]) if winners[i] >= 0 else 0
-                    for i in range(rows)
-                ),
-            )
-            n_committed = sum(1 for w in winners if w >= 0)
-            n_events = int(sum(n_bids)) + 2 * rows + 3 * n_committed
-            block_cols = (
-                bid_vals,
-                bid_objs,
-                winners,
-                objs,
-                self.residuals[:rows],
-                self.payments[:rows],
-                self.otcs[:rows],
-                obj_sizes,
-                n_bids,
-            )
+        winners = self.winners[:rows]
+        objs = self.objs[:rows]
+        n_bids = self.n_bids[:rows]
+        committed = winners >= 0
+        obj_sizes = _np.where(
+            committed, self.sizes[_np.where(committed, objs, 0)], 0
+        )
+        n_events = int(n_bids.sum()) + 2 * rows + 3 * int(committed.sum())
         t0, t_step = now_block(n_events)
         block = RoundBlock(
             self.base_round,
             rows,
-            m,
+            self.n_agents,
             self.payment_rule,
             t0,
             t_step,
-            *block_cols,
+            self.bid_vals[:rows],
+            self.bid_objs[:rows],
+            winners,
+            objs,
+            self.residuals[:rows],
+            self.payments[:rows],
+            self.otcs[:rows],
+            obj_sizes,
+            n_bids,
         )
         self.base_round += rows
         self.n = 0
@@ -1238,7 +1123,7 @@ class EventSink:
 
         The default expands the block through :func:`iter_block_events`
         into the ordinary :meth:`emit` stream, so every existing sink
-        sees events identical to the per-object path.  Block-aware sinks
+        sees the per-decision events.  Block-aware sinks
         (:class:`ColumnarSink`) override this to keep the columnar form
         and skip object materialization entirely.
         """
@@ -1258,22 +1143,10 @@ class NullSink(EventSink):
         return None
 
 
-class RecordingSink(EventSink):
-    """Keeps the full stream in memory (the default :func:`capture` sink)."""
-
-    def __init__(self) -> None:
-        self.events: list[Event] = []
-
-    def emit(self, event: Event) -> None:
-        self.events.append(event)
-
-    def __len__(self) -> int:
-        return len(self.events)
-
-
 class ColumnarSink(EventSink):
-    """Block-aware recording sink: stores flushed :class:`RoundBlock`\\ s
-    raw and interleaves them, in order, with loose events.
+    """The recording sink (the :func:`capture` default): stores flushed
+    :class:`RoundBlock`\\ s raw and interleaves them, in order, with
+    loose events.
 
     The hot path never materializes per-decision objects into it; blocks
     expand lazily (and deterministically — timestamps live in the block)
@@ -1315,7 +1188,7 @@ class ColumnarSink(EventSink):
 
     @property
     def events(self) -> list[Event]:
-        """Materialized event list (drop-in for :class:`RecordingSink`)."""
+        """Materialized event list, blocks expanded."""
         return list(self.iter_events())
 
     def blocks(self) -> Iterable[RoundBlock]:
@@ -1350,15 +1223,15 @@ def install(sink: Optional[EventSink]) -> EventSink:
 
 @contextmanager
 def capture(sink: Optional[EventSink] = None) -> Iterator[EventSink]:
-    """Scoped event capture: install a fresh (or given) sink, restore on
-    exit.
+    """Scoped event capture: install a fresh :class:`ColumnarSink` (or
+    the given sink), restore on exit.
 
     >>> from repro.obs import events as ev
     >>> with ev.capture() as sink:               # doctest: +SKIP
     ...     run_agt_ram(instance)
     >>> sink.events                              # doctest: +SKIP
     """
-    active = sink if sink is not None else RecordingSink()
+    active = sink if sink is not None else ColumnarSink()
     previous = install(active)
     try:
         yield active

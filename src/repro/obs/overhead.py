@@ -1,27 +1,25 @@
-"""Emission-path equivalence and overhead measurement: the obs gate.
+"""Eventing overhead measurement: the obs gate.
 
-The columnar pipeline's contract (docs/observability.md) is twofold:
+The columnar pipeline's contract (docs/observability.md) has two
+halves.  Byte-equivalence — the expanded columnar stream equals the
+reference oracle's per-decision stream field for field — is
+deterministic and lives in :mod:`repro.obs.equivalence`
+(``repro audit --compare-engines``).  This module measures the other
+half: running AGT-RAM with eventing *on* must cost only a few percent
+over eventing *off*.
 
-* **Byte-equivalence** — with a sink active, the buffered columnar path
-  must produce, after block expansion, exactly the event stream the
-  legacy per-object path produces: same kinds, same field values, same
-  logical timestamps.  This is deterministic and is the hard half of
-  the gate.
-* **Bounded overhead** — running the vectorized engine with eventing
-  *on* (columnar) must cost only a few percent over eventing *off*.
-  This half is a wall-clock measurement and therefore noisy on shared
-  CI hardware.
-
-The timing protocol here is the one that survived contact with a noisy
-single-vCPU VM: both paths are timed *interleaved in one process* with
-``time.process_time`` (cross-process comparisons drift by double-digit
-percents), and the reported overhead is the **minimum of the paired
-per-iteration ratios**.  Scheduler noise is additive — it can only
-inflate a run — so the minimum pair is the least-biased estimator of
-the true ratio; medians of the pairs ride along for context.  The CLI
-gate (``python -m repro audit --emission-gate``) re-measures on failure
-like the engine-speedup gate does, and only a genuinely slow build
-fails every attempt.
+Both settings are timed *interleaved in one process* with
+``perf_counter`` (cross-process comparisons drift by double-digit
+percents; ``process_time`` is tick-quantized on common kernels —
+4 ms steps at HZ=250, coarser than a whole ``small`` run — and also
+bills idle BLAS threads).  Each side of a pair times a back-to-back
+batch of runs at least ``_MIN_BATCH_S`` long, after a collection so
+neither side inherits the other's garbage, and each (off, on) pair
+yields one paired overhead ``(on/off - 1) * 100``.  The gate reads a percentile
+bootstrap confidence interval of the mean paired overhead
+(:func:`~repro.analysis.stats.bootstrap_ci`) and fails when its
+*upper* bound exceeds the budget — an estimator that cannot pass on one
+lucky pair, unlike a minimum of the pairs.
 
 Scale matters when interpreting the number: per-run fixed costs (ring
 allocation, ledger init, final flush) are ~hundreds of microseconds, so
@@ -33,18 +31,21 @@ scale-dependence for the CI gate.
 
 from __future__ import annotations
 
+import gc
+import math
 import statistics
-import time
-from dataclasses import dataclass, field
-from typing import Any
+from dataclasses import dataclass
+from typing import Optional
 
+from repro.analysis.stats import BootstrapCI, bootstrap_ci
 from repro.obs import events as ev
+from repro.utils.timing import perf_counter
 
 __all__ = [
-    "EmissionComparison",
-    "compare_emission_paths",
+    "EventingOverhead",
+    "measure_eventing_overhead",
     "default_overhead_budget",
-    "format_emission_comparison",
+    "format_eventing_overhead",
 ]
 
 #: Per-scale overhead budgets (percent) for the CI gate.  ``large`` is
@@ -60,155 +61,105 @@ OVERHEAD_BUDGET_PERCENT: dict[str, float] = {
 }
 
 
+#: Shortest timed batch per side of a pair (seconds).
+_MIN_BATCH_S = 0.02
+
+
 def default_overhead_budget(scale: str) -> float:
     """The CI overhead budget (percent) for a bench preset."""
     return OVERHEAD_BUDGET_PERCENT.get(scale, 8.0)
 
 
 @dataclass
-class EmissionComparison:
-    """Outcome of one columnar-vs-legacy emission comparison."""
+class EventingOverhead:
+    """Eventing-on vs eventing-off cost of one AGT-RAM preset run."""
 
     scale: str
-    rounds: int = 0
-    n_events: int = 0
-    #: Buffered columnar stream == legacy per-object stream, field for
-    #: field under logical time.
-    identical: bool = False
-    #: Both streams pass the offline mechanism audit.
-    audit_ok: bool = False
-    #: First few human-readable stream differences (empty when identical).
-    mismatches: list[str] = field(default_factory=list)
-    #: Median eventing-off process time per run (seconds).
-    disabled_wall_s: float = 0.0
-    #: Median eventing-on (columnar) process time per run (seconds).
-    enabled_wall_s: float = 0.0
-    #: min over paired iterations of (on/off - 1) * 100.
-    overhead_percent: float = 0.0
-    #: Median of the paired ratios, for context on measurement spread.
-    overhead_percent_median: float = 0.0
+    rounds: int
+    n_events: int
+    #: Median eventing-off wall time per run (seconds).
+    disabled_wall_s: float
+    #: Median eventing-on (columnar) wall time per run (seconds).
+    enabled_wall_s: float
+    #: Bootstrap CI of the mean paired overhead, in percent.
+    overhead: BootstrapCI
 
-    @property
-    def ok(self) -> bool:
-        return self.identical and self.audit_ok
+    def within(self, budget: float) -> bool:
+        """True when the interval's upper bound fits ``budget``."""
+        return self.overhead.hi <= budget
 
     @property
     def marginal_us_per_round(self) -> float:
-        """Per-round marginal cost implied by the minimum pair."""
+        """Per-round marginal cost implied by the mean overhead."""
         if not self.rounds:
             return 0.0
         return (
-            self.disabled_wall_s * self.overhead_percent / 100.0
+            self.disabled_wall_s * self.overhead.mean / 100.0
         ) / self.rounds * 1e6
 
 
-def _event_dicts(events: Any) -> list[dict]:
-    return [e.to_dict() for e in events]
+def measure_eventing_overhead(
+    scale: str = "tiny", *, repeats: int = 30, seed: Optional[int] = 0
+) -> EventingOverhead:
+    """Time ``repeats`` interleaved (eventing-off, eventing-on) pairs of
+    ``run_agt_ram`` on a bench preset.
 
-
-def _diff_streams(legacy: list[dict], columnar: list[dict]) -> list[str]:
-    out: list[str] = []
-    if len(legacy) != len(columnar):
-        out.append(f"event count {len(legacy)} (legacy) vs {len(columnar)} (columnar)")
-    for i, (a, b) in enumerate(zip(legacy, columnar)):
-        if a != b:
-            out.append(f"event {i}: legacy {a} != columnar {b}")
-            if len(out) >= 5:
-                out.append("... (further mismatches suppressed)")
-                break
-    return out
-
-
-def compare_emission_paths(
-    scale: str = "tiny", *, repeats: int = 5, seed: int = 0
-) -> EmissionComparison:
-    """Prove byte-equivalence and measure eventing overhead on a preset.
-
-    Identity pass: AGT-RAM (vectorized engine) runs once per emission
-    path under :func:`~repro.obs.events.logical_time`; the expanded
-    columnar stream must equal the per-object stream field for field,
-    and both must pass the offline audit.  Timing pass: ``repeats``
-    interleaved (eventing-off, eventing-on) pairs timed with
-    ``process_time``; overhead is the minimum paired ratio (see module
-    docstring).  ``seed`` is reserved for preset parameterization.
+    ``seed`` seeds the bootstrap resampling of the paired overheads.
     """
-    from repro.core.agt_ram import AGTRam
+    from repro.core.agt_ram import run_agt_ram
     from repro.experiments.instances import paper_instance
-    from repro.obs.audit import audit_events
-    from repro.obs.events import ColumnarSink, RecordingSink
     from repro.obs.report import bench_config
 
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
     instance = paper_instance(bench_config(scale))
-    cmp = EmissionComparison(scale=scale)
 
-    # -- identity pass (deterministic) ----------------------------------
-    with ev.logical_time():
-        with ev.capture(RecordingSink()) as legacy_sink:
-            legacy_result = AGTRam(engine="vectorized", emission="object").run(
-                instance
-            )
-    with ev.logical_time():
-        with ev.capture(ColumnarSink()) as columnar_sink:
-            columnar_result = AGTRam(
-                engine="vectorized", emission="columnar"
-            ).run(instance)
-    legacy = _event_dicts(legacy_sink.events)
-    columnar = _event_dicts(columnar_sink.iter_events())
-    cmp.rounds = legacy_result.rounds
-    cmp.n_events = len(legacy)
-    cmp.mismatches = _diff_streams(legacy, columnar)
-    if legacy_result.otc != columnar_result.otc:
-        cmp.mismatches.append(
-            f"result otc {legacy_result.otc!r} (legacy) vs "
-            f"{columnar_result.otc!r} (columnar)"
-        )
-    cmp.identical = not cmp.mismatches
-    cmp.audit_ok = (
-        audit_events(legacy_sink.events).ok
-        and audit_events(columnar_sink.iter_events()).ok
-    )
+    def run_enabled() -> ev.ColumnarSink:
+        with ev.capture() as sink:
+            run_agt_ram(instance)
+        return sink
 
-    # -- timing pass (paired, in-process) -------------------------------
     def run_disabled() -> None:
-        AGTRam(engine="vectorized").run(instance)
+        run_agt_ram(instance)
 
-    def run_enabled() -> None:
-        with ev.capture(ColumnarSink()):
-            AGTRam(engine="vectorized", emission="columnar").run(instance)
+    def timed(run, batch: int) -> float:
+        gc.collect()
+        t0 = perf_counter()
+        for _ in range(batch):
+            run()
+        return (perf_counter() - t0) / batch
 
-    run_disabled()
-    run_enabled()  # warm caches and allocators on both paths
+    rounds = run_agt_ram(instance).rounds
+    n_events = len(run_enabled())  # also warms caches on both settings
+    # Each side of a pair times a batch of runs lasting >= _MIN_BATCH_S,
+    # so sub-millisecond presets are not measured at timer-noise scale.
+    batch = max(1, math.ceil(_MIN_BATCH_S / max(timed(run_disabled, 1), 1e-6)))
     offs: list[float] = []
     ons: list[float] = []
     for _ in range(repeats):
-        t0 = time.process_time()
-        run_disabled()
-        offs.append(time.process_time() - t0)
-        t0 = time.process_time()
-        run_enabled()
-        ons.append(time.process_time() - t0)
-    ratios = [on / off for on, off in zip(ons, offs) if off > 0]
-    cmp.disabled_wall_s = statistics.median(offs)
-    cmp.enabled_wall_s = statistics.median(ons)
-    if ratios:
-        cmp.overhead_percent = (min(ratios) - 1.0) * 100.0
-        cmp.overhead_percent_median = (statistics.median(ratios) - 1.0) * 100.0
-    return cmp
+        offs.append(timed(run_disabled, batch))
+        ons.append(timed(run_enabled, batch))
+    pairs = [(on / off - 1.0) * 100.0 for on, off in zip(ons, offs) if off > 0]
+    return EventingOverhead(
+        scale=scale,
+        rounds=rounds,
+        n_events=n_events,
+        disabled_wall_s=statistics.median(offs),
+        enabled_wall_s=statistics.median(ons),
+        overhead=bootstrap_ci(pairs or [0.0], seed=seed),
+    )
 
 
-def format_emission_comparison(cmp: EmissionComparison) -> str:
-    lines = [
-        f"emission gate @ {cmp.scale}: {cmp.rounds} rounds, "
-        f"{cmp.n_events} events",
-        f"  byte-equivalence  {'PASS' if cmp.identical else 'FAIL'}",
-        f"  audit             {'PASS' if cmp.audit_ok else 'FAIL'}",
-        f"  eventing off      {cmp.disabled_wall_s * 1e3:8.2f} ms (median)",
-        f"  eventing on       {cmp.enabled_wall_s * 1e3:8.2f} ms (median)",
-        f"  overhead          {cmp.overhead_percent:8.2f} % (min pair; "
-        f"median {cmp.overhead_percent_median:.2f} %, "
-        f"~{cmp.marginal_us_per_round:.1f} us/round)",
-    ]
-    lines.extend(f"  mismatch: {m}" for m in cmp.mismatches)
-    return "\n".join(lines)
+def format_eventing_overhead(cmp: EventingOverhead) -> str:
+    ci = cmp.overhead
+    return "\n".join(
+        [
+            f"emission gate @ {cmp.scale}: {cmp.rounds} rounds, "
+            f"{cmp.n_events} events",
+            f"  eventing off      {cmp.disabled_wall_s * 1e3:8.2f} ms (median)",
+            f"  eventing on       {cmp.enabled_wall_s * 1e3:8.2f} ms (median)",
+            f"  overhead          {ci.mean:8.2f} % mean, "
+            f"{ci.confidence:.0%} CI [{ci.lo:.2f}, {ci.hi:.2f}] % "
+            f"(~{cmp.marginal_us_per_round:.1f} us/round)",
+        ]
+    )

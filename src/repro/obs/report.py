@@ -15,8 +15,7 @@ Document layout (``SCHEMA_VERSION`` = 3)::
       "seed": 2007,
       "repeats": 3,
       "env": {"python": ..., "numpy": ..., "platform": ...},
-      "config": {"n_servers": ..., "n_objects": ..., "total_requests": ...,
-                 "engine": "auto"},
+      "config": {"n_servers": ..., "n_objects": ..., "total_requests": ...},
       "results": [
         {
           "scenario": "placement",      # or "protocol" / "engine_compare"
@@ -49,16 +48,17 @@ from the capturing sink) and made the default capture sink the
 block-aware :class:`~repro.obs.events.ColumnarSink`; v2 added the
 per-round ``series`` trajectories (taken from the best run); v1
 documents remain loadable.  The ``engine_compare`` record
-(naive-vs-vectorized identity verdict and uninstrumented speedup, see
-:mod:`repro.obs.equivalence`) is additive — documents without it still
-compare cleanly.
+(production-vs-reference-oracle identity verdict and uninstrumented
+speedup, see :mod:`repro.obs.equivalence`) is additive — documents
+without it still compare cleanly.
 
 Span paths are hierarchical (see :mod:`repro.obs.tracer`); the AGT-RAM
-per-round phases land under ``mechanism/AGT-RAM/...`` and the baseline
-phases under ``baseline/<name>/...``.  Bench runs execute with both the
-tracer *and* the event stream enabled (the series come from the
-events), so the measured walls include that instrumentation — identical
-across the documents being compared.
+spans (engine build, clearing loop, event flushes) land under
+``mechanism/AGT-RAM/...`` and the baseline phases under
+``baseline/<name>/...``.  Bench runs execute with both the tracer *and*
+the event stream enabled (the series come from the events); AGT-RAM's
+tracing never reaches inside a round, so its ``wall_s`` times the
+production clearing loop plus its event flushes.
 """
 
 from __future__ import annotations
@@ -199,19 +199,15 @@ def _placement_record(
     repeats: int,
     seed: int,
     sink: ev.EventSink,
-    engine: str = "auto",
 ) -> dict[str, Any]:
     from repro.experiments.runner import run_algorithms
 
-    placer_kwargs = {"AGT-RAM": {"engine": engine}} if algorithm == "AGT-RAM" else None
     best = None
     events_before = _sink_len(sink)
     bytes_before = getattr(sink, "nbytes", 0)
     with capture() as tracer, ev.capture(sink):
         for _ in range(repeats):
-            result = run_algorithms(
-                instance, [algorithm], seed=seed, placer_kwargs=placer_kwargs
-            )[algorithm]
+            result = run_algorithms(instance, [algorithm], seed=seed)[algorithm]
             if best is None or result.runtime_s < best.runtime_s:
                 best = result
     assert best is not None
@@ -277,9 +273,10 @@ def _protocol_record(
 def _engine_compare_record(instance: Any, repeats: int) -> dict[str, Any]:
     """Extra ``engine_compare`` scenario record for the bench document.
 
-    ``wall_s`` is the *vectorized* uninstrumented wall so document
-    comparisons track the engine the repo actually ships; the naive
-    wall, speedup, and bit-for-bit identity verdict ride along.
+    ``wall_s`` is production's uninstrumented wall so document
+    comparisons track the path the repo actually ships; the reference
+    oracle's wall (``naive_wall_s``), the speedup, and the bit-for-bit
+    identity verdict ride along.
     Scenarios present in only one document are never flagged by
     :func:`compare_documents`, so older baselines stay comparable.
     """
@@ -309,7 +306,6 @@ def run_bench(
     repeats: int = 3,
     include_protocol: bool = True,
     event_sink: Optional[ev.EventSink] = None,
-    engine: str = "auto",
     include_engine_compare: bool = True,
 ) -> dict[str, Any]:
     """Execute the benchmark scenarios and return the JSON document.
@@ -336,17 +332,12 @@ def run_bench(
         v3 ``events_emitted`` / ``events_bytes`` accounting reads its
         counters; the per-round ``series`` in the document are derived
         from the event machinery either way.
-    engine:
-        AGT-RAM benefit engine (``auto`` / ``naive`` / ``vectorized``);
-        recorded in the document config.  Other algorithms are
-        unaffected.
     include_engine_compare:
-        Also emit an ``engine_compare`` record proving the two engines
-        are bit-for-bit identical on this preset and measuring the
-        uninstrumented speedup (requires AGT-RAM among the algorithms
-        and vectorized support; silently skipped otherwise).
+        Also emit an ``engine_compare`` record proving production
+        AGT-RAM is bit-for-bit identical to the reference oracle on this
+        preset and measuring the uninstrumented speedup (requires
+        AGT-RAM among the algorithms; skipped otherwise).
     """
-    from repro.drp.delta import HAVE_NUMPY
     from repro.experiments.instances import paper_instance
 
     if repeats < 1:
@@ -358,12 +349,12 @@ def run_bench(
     sink = event_sink if event_sink is not None else ev.ColumnarSink()
 
     results = [
-        _placement_record(alg, instance, repeats, seed, sink, engine=engine)
+        _placement_record(alg, instance, repeats, seed, sink)
         for alg in algorithms
     ]
     if include_protocol:
         results.append(_protocol_record(instance, repeats, sink))
-    if include_engine_compare and HAVE_NUMPY and "AGT-RAM" in algorithms:
+    if include_engine_compare and "AGT-RAM" in algorithms:
         results.append(_engine_compare_record(instance, repeats))
 
     return {
@@ -380,7 +371,6 @@ def run_bench(
             "rw_ratio": cfg.rw_ratio,
             "capacity_fraction": cfg.capacity_fraction,
             "seed": cfg.seed,
-            "engine": engine,
         },
         "results": results,
     }

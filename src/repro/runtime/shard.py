@@ -12,8 +12,8 @@ Model
 
 * Regions clear **concurrently** (one sealed-bid regional round per
   region per global round) on a shared replication state, exactly like
-  ``HierarchicalAGTRam(mode="concurrent")``, using the PR 7 benefit
-  engine selected by ``engine=``.
+  ``HierarchicalAGTRam(mode="concurrent")``, over the delta-maintained
+  benefit engine (:class:`~repro.drp.delta.DeltaBenefitEngine`).
 * A seeded :class:`PartitionSchedule` declares half-open round windows
   ``[start, end)`` during which the regional centrals are split into
   *islands*.  At a window start every island forks the replication
@@ -88,7 +88,7 @@ import numpy as np
 from repro.core.agents import Bid
 from repro.core.hierarchical import RegionStats, partition_by_proximity
 from repro.drp.cost import total_otc
-from repro.drp.delta import ENGINE_NAMES, make_local_engine, resolve_engine
+from repro.drp.delta import DeltaBenefitEngine
 from repro.drp.instance import DRPInstance
 from repro.drp.state import ReplicationState
 from repro.errors import ConfigurationError
@@ -437,7 +437,7 @@ class ShardedAGTRam:
     Byzantine bids.  See the module docstring for the model.
 
     Parameters mirror :class:`~repro.core.hierarchical.HierarchicalAGTRam`
-    (``n_regions``/``partition``/``seed``/``engine``), plus:
+    (``n_regions``/``partition``/``seed``), plus:
 
     plan:
         The :class:`PartitionSchedule`; ``None`` means
@@ -467,16 +467,9 @@ class ShardedAGTRam:
     faults: Optional[FaultPlan] = None
     adversary: Optional[AdversaryPlan] = None
     quarantine: Optional[QuarantinePolicy] = None
-    engine: str = "auto"
     seed: SeedLike = None
     max_rounds: Optional[int] = None
     keep_messages: bool = False
-
-    def __post_init__(self) -> None:
-        if self.engine not in ENGINE_NAMES:
-            raise ConfigurationError(
-                f"engine must be one of {ENGINE_NAMES}, got {self.engine!r}"
-            )
 
     # -- helpers -----------------------------------------------------------
 
@@ -516,7 +509,6 @@ class ShardedAGTRam:
             raise ConfigurationError(
                 f"schedule covers {plan.n_regions} regions, partition has {k}"
             )
-        engine_name = resolve_engine(self.engine)
         rows = {r: [int(a) for a in np.flatnonzero(part == r)] for r in region_ids}
 
         schedule = self.faults.schedule if self.faults else FaultSchedule.null()
@@ -557,7 +549,7 @@ class ShardedAGTRam:
                 index=0,
                 regions=list(region_ids),
                 state=state,
-                engine=make_local_engine(engine_name, instance, state),
+                engine=DeltaBenefitEngine(instance, state),
             )
         ]
         fork_base: Optional[ReplicationState] = None
@@ -665,7 +657,7 @@ class ShardedAGTRam:
                     index=0,
                     regions=list(region_ids),
                     state=merged,
-                    engine=make_local_engine(engine_name, instance, merged),
+                    engine=DeltaBenefitEngine(instance, merged),
                 )
             ]
             fork_base = None
@@ -705,9 +697,7 @@ class ShardedAGTRam:
                         new_islands.append(
                             _Island(
                                 index=g, regions=regions_g, state=forked,
-                                engine=make_local_engine(
-                                    engine_name, instance, forked
-                                ),
+                                engine=DeltaBenefitEngine(instance, forked),
                             )
                         )
                 islands = new_islands
@@ -819,7 +809,7 @@ class ShardedAGTRam:
             "payments": payments,
             "partition": part,
             "region_stats": stats,
-            "engine": engine_name,
+            "engine": DeltaBenefitEngine.engine_name,
             "schedule": plan.to_dict(),
             "mode": "sharded",
             "messages": log.total_messages(),

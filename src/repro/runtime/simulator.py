@@ -2,8 +2,8 @@
 
 Drives explicit :class:`~repro.core.agents.ReplicaAgent` objects and a
 :class:`~repro.runtime.central.CentralBody` through Figure 2, recording
-every message.  Produces byte/round/critical-path accounting the
-vectorized engine cannot, and — by construction — the *same final
+every message.  Produces byte/round/critical-path accounting the flat
+mechanism cannot, and — by construction — the *same final
 replication scheme* as :class:`~repro.core.agt_ram.AGTRam` under
 truthful agents (a tested equivalence).
 
@@ -33,10 +33,10 @@ import numpy as np
 from repro.core.agents import Bid, ReplicaAgent
 from repro.core.strategies import Strategy
 from repro.drp.cost import total_otc
-from repro.drp.delta import make_local_engine, resolve_engine
+from repro.drp.benefit import BenefitEngine
 from repro.drp.instance import DRPInstance
 from repro.drp.state import ReplicationState
-from repro.errors import ConfigurationError, ConvergenceError
+from repro.errors import ConvergenceError
 from repro.result import PlacementResult
 from repro.runtime.adversary import (
     AdversaryInjector,
@@ -123,14 +123,12 @@ class SemiDistributedSimulator:
         trust boundary enforces (strike threshold, probation length,
         expulsion).  Supplying one arms the boundary even without an
         adversary plan; ``None`` uses the defaults when a plan is set.
-    engine:
-        Local-CoR oracle implementation: ``"naive"`` (default — the
-        full-matrix :class:`~repro.drp.benefit.BenefitEngine`),
-        ``"vectorized"`` (the delta-maintained
-        :class:`~repro.drp.delta.DeltaBenefitEngine`; requires the
-        eager protocol, ``nn_update_period=1``) or ``"auto"``.  The
-        final scheme, payments and message stream are engine-invariant
-        (a tested equivalence).
+
+    The local-CoR oracle is the full-matrix
+    :class:`~repro.drp.benefit.BenefitEngine`: agents read whole rows,
+    which the delta engine would have to materialize every round, and
+    the lazy-NN protocol (``nn_update_period > 1``) needs its
+    deliberately stale matrix.
     """
 
     def __init__(
@@ -146,18 +144,9 @@ class SemiDistributedSimulator:
         faults: Optional[FaultPlan] = None,
         adversary: Optional[AdversaryPlan] = None,
         quarantine: Optional[QuarantinePolicy] = None,
-        engine: str = "naive",
     ):
         if nn_update_period < 1:
             raise ValueError("nn_update_period must be >= 1")
-        self.engine = resolve_engine(engine)
-        if self.engine == "vectorized" and nn_update_period != 1:
-            raise ConfigurationError(
-                "engine='vectorized' requires the eager protocol "
-                "(nn_update_period=1): the delta engine computes agent "
-                "views from the live state and cannot model the lazy "
-                "protocol's deliberately stale views"
-            )
         if central_failure_round is not None and central_failure_round < 0:
             raise ValueError("central_failure_round must be >= 0")
         self.central = CentralBody(payment_rule)
@@ -308,7 +297,7 @@ class SemiDistributedSimulator:
 
         with timer, ParallelBidEvaluator(self.max_workers) as evaluator:
             state = ReplicationState.primaries_only(instance)
-            engine = make_local_engine(self.engine, instance, state)
+            engine = BenefitEngine(instance, state)
             if eventing:
                 # Per-round OTC telemetry (stalls, fruitless rounds, the
                 # series, RoundEnd) reads the delta-maintained tracker —
@@ -787,7 +776,7 @@ class SemiDistributedSimulator:
             extra={
                 "payments": payments,
                 "utilities": utilities,
-                "engine": self.engine,
+                "engine": engine.engine_name,
                 "metrics": metrics,
                 "agents": agents,
                 "acting_central": acting_central,

@@ -164,14 +164,21 @@ class TestConfiguration:
 
 class TestEngineSelector:
     @pytest.mark.parametrize("mode", ["sequential", "concurrent"])
-    def test_naive_and_vectorized_identical(self, read_heavy_instance, mode):
-        runs = {
-            name: HierarchicalAGTRam(
-                n_regions=4, mode=mode, seed=0, engine=name
-            ).run(read_heavy_instance)
-            for name in ("naive", "vectorized")
-        }
-        naive, fast = runs["naive"], runs["vectorized"]
+    def test_naive_and_vectorized_identical(
+        self, read_heavy_instance, mode, monkeypatch
+    ):
+        import repro.core.hierarchical as hier_mod
+        from repro.drp.benefit import BenefitEngine
+
+        def run():
+            return HierarchicalAGTRam(n_regions=4, mode=mode, seed=0).run(
+                read_heavy_instance
+            )
+
+        fast = run()
+        # The naive engine as the reference oracle for the regional games.
+        monkeypatch.setattr(hier_mod, "DeltaBenefitEngine", BenefitEngine)
+        naive = run()
         # Same winners, same prices, same placement, bit for bit.
         assert np.array_equal(naive.state.x, fast.state.x)
         assert naive.otc == fast.otc
@@ -183,14 +190,15 @@ class TestEngineSelector:
         assert fast.extra["engine"] == "vectorized"
 
     def test_bad_engine_rejected(self):
-        with pytest.raises(ConfigurationError):
+        # The engine is fixed; the removed selector fails loudly.
+        with pytest.raises(TypeError):
             HierarchicalAGTRam(engine="turbo")
 
-    def test_cooperative_has_no_vectorized_engine(self):
-        with pytest.raises(ConfigurationError):
-            HierarchicalAGTRam(
-                regional_game="cooperative", engine="vectorized"
-            )
+    def test_cooperative_has_no_vectorized_engine(self, read_heavy_instance):
+        result = HierarchicalAGTRam(
+            n_regions=4, regional_game="cooperative", seed=0
+        ).run(read_heavy_instance)
+        assert result.extra["engine"] == "regional"
 
 
 class TestRegionTaggedEvents:

@@ -3,8 +3,11 @@
 The engine's contract is *bit-for-bit* agreement with the naive
 full-matrix :class:`~repro.drp.benefit.BenefitEngine` — same dominant
 reports (values AND argmax tie-breaks), same winners, same second
-prices, same event stream.  Everything here asserts exact equality, not
-approximate closeness.
+prices, same event stream.  Engine-level cases drive both engines
+directly; run-level cases compare production AGT-RAM against the
+reference oracle (:func:`repro.obs.equivalence.reference_agt_ram`), a
+Figure-2 loop over the naive engine.  Everything here asserts exact
+equality, not approximate closeness.
 """
 
 import json
@@ -14,22 +17,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.drp.delta as delta_mod
-from repro.core.agt_ram import run_agt_ram
+import repro.core.agt_ram as agt_ram_mod
+from repro.core.agt_ram import AGTRam, run_agt_ram
 from repro.core.strategies import OverProjection, UnderProjection
 from repro.drp.benefit import NEG_INF, BenefitEngine, local_benefit_matrix
-from repro.drp.delta import (
-    ENGINE_NAMES,
-    DeltaBenefitEngine,
-    make_local_engine,
-    numpy_support_error,
-    resolve_engine,
-)
+from repro.drp.delta import DeltaBenefitEngine
 from repro.drp.state import ReplicationState
-from repro.errors import ConfigurationError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.instances import paper_instance
 from repro.obs import events as ev
+from repro.obs.equivalence import reference_agt_ram
 
 
 def _fresh_bests(instance, state):
@@ -49,60 +46,12 @@ def _assert_bests_exact(engine, instance, state):
     np.testing.assert_array_equal(vals, ref_vals)
 
 
-class TestResolveEngine:
-    def test_names_exposed(self):
-        assert ENGINE_NAMES == ("auto", "naive", "vectorized")
-
-    def test_auto_prefers_vectorized(self):
-        assert resolve_engine("auto") == "vectorized"
-
-    def test_explicit_names_pass_through(self):
-        assert resolve_engine("naive") == "naive"
-        assert resolve_engine("vectorized") == "vectorized"
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ConfigurationError, match="unknown engine"):
-            resolve_engine("turbo")
-
-    def test_auto_falls_back_without_numpy(self, monkeypatch):
-        monkeypatch.setattr(delta_mod, "HAVE_NUMPY", False)
-        assert resolve_engine("auto") == "naive"
-
-    def test_explicit_vectorized_without_numpy_is_clear_error(
-        self, monkeypatch
-    ):
-        monkeypatch.setattr(delta_mod, "HAVE_NUMPY", False)
-        with pytest.raises(ConfigurationError, match="numpy >="):
-            resolve_engine("vectorized")
-        # A ConfigurationError, never a bare ImportError traceback, and
-        # the message tells the user both remedies.
-        msg = numpy_support_error()
-        assert "pyproject.toml" in msg
-        assert "naive" in msg
-
-    def test_engine_ctor_guarded(self, monkeypatch, tiny_instance):
-        monkeypatch.setattr(delta_mod, "HAVE_NUMPY", False)
-        st_ = ReplicationState.primaries_only(tiny_instance)
-        with pytest.raises(ConfigurationError, match="numpy >="):
-            DeltaBenefitEngine(tiny_instance, st_)
-
-    def test_make_local_engine_types(self, tiny_instance):
-        st_ = ReplicationState.primaries_only(tiny_instance)
-        assert isinstance(
-            make_local_engine("vectorized", tiny_instance, st_),
-            DeltaBenefitEngine,
-        )
-        assert isinstance(
-            make_local_engine("naive", tiny_instance, st_), BenefitEngine
-        )
-
+class TestDeltaMatchesNaive:
     def test_state_must_belong_to_instance(self, tiny_instance, line_instance):
         st_ = ReplicationState.primaries_only(line_instance)
         with pytest.raises(ValueError, match="belong"):
             DeltaBenefitEngine(tiny_instance, st_)
 
-
-class TestDeltaMatchesNaive:
     def test_initial_bests_match_full_sweep(self, tiny_instance):
         state = ReplicationState.primaries_only(tiny_instance)
         engine = DeltaBenefitEngine(tiny_instance, state)
@@ -145,15 +94,11 @@ class TestDeltaMatchesNaive:
         state = ReplicationState.primaries_only(tiny_instance)
         naive = BenefitEngine(tiny_instance, state)
         delta = DeltaBenefitEngine(tiny_instance, state)
-        np.testing.assert_array_equal(delta.matrix, naive.matrix)
+        rows = [delta.row(i) for i in range(tiny_instance.n_servers)]
+        np.testing.assert_array_equal(np.stack(rows), naive.matrix)
         for i in range(0, tiny_instance.n_servers, 3):
-            np.testing.assert_array_equal(delta.row(i), naive.row(i))
             for k in range(0, tiny_instance.n_objects, 11):
                 assert delta.value_at(i, k) == naive.value_at(i, k)
-        servers = np.arange(tiny_instance.n_servers)
-        np.testing.assert_array_equal(
-            delta.eligible_counts(servers), naive.eligible_counts(servers)
-        )
 
     def test_full_server_goes_ineligible(self, line_instance):
         state = ReplicationState.primaries_only(line_instance)
@@ -215,17 +160,18 @@ class TestDeltaMatchesNaive:
         _assert_bests_exact(engine, instance, state)
 
 
-def _recorded(instance, engine, **kwargs):
-    sink = ev.RecordingSink()
-    with ev.logical_time(), ev.capture(sink):
-        result = run_agt_ram(instance, engine=engine, **kwargs)
-    return result, [ev.asdict(e) for e in sink.events]
+def _recorded(run):
+    with ev.logical_time(), ev.capture() as sink:
+        result = run()
+    return result, [e.to_dict() for e in sink.iter_events()]
 
 
 class TestRunEquivalence:
+    """Production AGT-RAM (delta engine) against the reference oracle."""
+
     def test_same_seed_event_log_byte_identity(self, tiny_instance):
-        ref, ref_events = _recorded(tiny_instance, "naive")
-        cand, cand_events = _recorded(tiny_instance, "vectorized")
+        ref, ref_events = _recorded(lambda: reference_agt_ram(tiny_instance))
+        cand, cand_events = _recorded(lambda: run_agt_ram(tiny_instance))
         ref_bytes = "\n".join(json.dumps(e, sort_keys=True) for e in ref_events)
         cand_bytes = "\n".join(
             json.dumps(e, sort_keys=True) for e in cand_events
@@ -235,8 +181,8 @@ class TestRunEquivalence:
         assert ref.otc == cand.otc
 
     def test_placements_payments_utilities_identical(self, tiny_instance):
-        ref = run_agt_ram(tiny_instance, engine="naive")
-        cand = run_agt_ram(tiny_instance, engine="vectorized")
+        ref = reference_agt_ram(tiny_instance)
+        cand = run_agt_ram(tiny_instance)
         np.testing.assert_array_equal(ref.state.x, cand.state.x)
         np.testing.assert_array_equal(
             ref.extra["payments"], cand.extra["payments"]
@@ -248,13 +194,14 @@ class TestRunEquivalence:
         assert ref.extra["engine"] == "naive"
 
     @pytest.mark.parametrize("batch_size", [2, 4])
-    def test_batch_mode_identical(self, tiny_instance, batch_size):
-        from repro.core.agt_ram import AGTRam
-
-        a = AGTRam(engine="naive", batch_size=batch_size).run(tiny_instance)
-        b = AGTRam(engine="vectorized", batch_size=batch_size).run(
-            tiny_instance
-        )
+    def test_batch_mode_identical(self, tiny_instance, batch_size, monkeypatch):
+        b = AGTRam(batch_size=batch_size).run(tiny_instance)
+        # Batched rounds only use the engine-agnostic API, so the naive
+        # engine drops in for the delta one.
+        monkeypatch.setattr(agt_ram_mod, "DeltaBenefitEngine", BenefitEngine)
+        a = AGTRam(batch_size=batch_size).run(tiny_instance)
+        assert a.extra["engine"] == "naive"
+        assert b.extra["engine"] == "vectorized"
         np.testing.assert_array_equal(a.state.x, b.state.x)
         assert a.otc == b.otc
         assert a.rounds == b.rounds
@@ -263,12 +210,8 @@ class TestRunEquivalence:
         "strategy", [OverProjection(1.6), UnderProjection(0.4)]
     )
     def test_strategic_agents_identical(self, tiny_instance, strategy):
-        a = run_agt_ram(
-            tiny_instance, engine="naive", strategies={3: strategy}
-        )
-        b = run_agt_ram(
-            tiny_instance, engine="vectorized", strategies={3: strategy}
-        )
+        a = reference_agt_ram(tiny_instance, strategies={3: strategy})
+        b = run_agt_ram(tiny_instance, strategies={3: strategy})
         np.testing.assert_array_equal(a.state.x, b.state.x)
         np.testing.assert_array_equal(
             a.extra["payments"], b.extra["payments"]
@@ -276,49 +219,43 @@ class TestRunEquivalence:
         assert a.otc == b.otc
 
     def test_global_valuation_rejects_vectorized(self, tiny_instance):
-        with pytest.raises(ConfigurationError, match="global"):
-            run_agt_ram(
-                tiny_instance, engine="vectorized", valuation="global"
-            )
+        # The delta engine maintains the *local* CoR only; the global
+        # ablation always runs its own exact-ΔOTC engine.
+        result = run_agt_ram(tiny_instance, valuation="global")
+        assert result.extra["engine"] == "global"
 
     def test_audit_trail_identical(self, tiny_instance):
-        a = run_agt_ram(tiny_instance, engine="naive", record_audit=True)
-        b = run_agt_ram(tiny_instance, engine="vectorized", record_audit=True)
-        assert len(a.extra["audit"]) == len(b.extra["audit"])
-        for ra, rb in zip(a.extra["audit"].rounds, b.extra["audit"].rounds):
-            assert ra.winner == rb.winner
-            assert ra.obj == rb.obj
-            assert ra.payment == rb.payment
-            np.testing.assert_array_equal(ra.reported, rb.reported)
+        _, events = _recorded(lambda: reference_agt_ram(tiny_instance))
+        audit = run_agt_ram(tiny_instance, record_audit=True).extra["audit"]
+        winners = [e for e in events if e["type"] == "winner"]
+        prices = [e for e in events if e["type"] == "payment"]
+        # One record per round, the closing (winner -1) round included.
+        assert len(audit) == len(winners) + 1
+        for rec, win, pay in zip(audit.rounds, winners, prices):
+            assert (rec.winner, rec.obj) == (win["agent"], win["obj"])
+            assert rec.payment == pay["amount"]
+            bids = {
+                e["agent"]: e["value"]
+                for e in events
+                if e["type"] == "bid" and e["round"] == win["round"]
+            }
+            finite = np.isfinite(rec.reported)
+            assert sorted(bids) == np.flatnonzero(finite).tolist()
+            assert [bids[a] for a in sorted(bids)] == rec.reported[
+                finite
+            ].tolist()
+        assert audit.rounds[-1].winner == -1
 
 
 class TestSimulatorEngine:
-    def test_vectorized_requires_eager_protocol(self, tiny_instance):
-        from repro.runtime.simulator import SemiDistributedSimulator
-
-        with pytest.raises(ConfigurationError, match="eager"):
-            SemiDistributedSimulator(engine="vectorized", nn_update_period=2)
-
-    def test_simulator_engines_identical(self, tiny_instance):
-        from repro.runtime.simulator import SemiDistributedSimulator
-
-        a = SemiDistributedSimulator(engine="naive").run(tiny_instance)
-        b = SemiDistributedSimulator(engine="vectorized").run(tiny_instance)
-        np.testing.assert_array_equal(a.state.x, b.state.x)
-        assert a.otc == b.otc
-        assert a.rounds == b.rounds
-        sa, sb = a.extra["metrics"].summary(), b.extra["metrics"].summary()
-        assert sa["messages"] == sb["messages"]
-        assert sa["bytes"] == sb["bytes"]
-        assert b.extra["engine"] == "vectorized"
-
     def test_lazy_protocol_still_works_with_naive(self, tiny_instance):
         from repro.runtime.simulator import SemiDistributedSimulator
 
-        result = SemiDistributedSimulator(
-            engine="naive", nn_update_period=3
-        ).run(tiny_instance)
+        result = SemiDistributedSimulator(nn_update_period=3).run(
+            tiny_instance
+        )
         assert result.rounds > 0
+        assert result.extra["engine"] == "naive"
 
 
 class TestEquivalenceModule:
@@ -350,3 +287,17 @@ class TestEquivalenceModule:
 
         with pytest.raises(ValueError, match="repeats"):
             compare_engines(tiny_instance, repeats=0)
+
+    def test_warm_start_matches_oracle(self, tiny_instance):
+        warm = ReplicationState.primaries_only(tiny_instance)
+        for server, obj in [(1, 4), (9, 15), (12, 30)]:
+            warm.add_replica(server, obj)
+        ref, ref_events = _recorded(
+            lambda: reference_agt_ram(tiny_instance, initial_state=warm.copy())
+        )
+        cand, cand_events = _recorded(
+            lambda: AGTRam().run(tiny_instance, initial_state=warm.copy())
+        )
+        assert cand_events == ref_events
+        np.testing.assert_array_equal(ref.state.x, cand.state.x)
+        assert ref.otc == cand.otc

@@ -129,7 +129,7 @@ class TestSinkRegistry:
         assert len(sink) == 1
 
     def test_capture_accepts_existing_sink(self):
-        mine = ev.RecordingSink()
+        mine = ev.ColumnarSink()
         with ev.capture(mine) as sink:
             assert sink is mine
 
@@ -140,7 +140,7 @@ class TestSinkRegistry:
         assert ev.current() is ev.NULL_SINK
 
     def test_install_returns_previous_and_none_restores_null(self):
-        mine = ev.RecordingSink()
+        mine = ev.ColumnarSink()
         previous = ev.install(mine)
         try:
             assert ev.current() is mine

@@ -68,12 +68,14 @@ class TestRunBench:
             if r["algorithm"] == "AGT-RAM" and r["scenario"] == "placement"
         ]
         # Through the ReplicaPlacer adapter the mechanism spans nest under
-        # baseline/AGT-RAM/, so match on the path suffix.
-        for phase in ("bid_sweep", "argmax", "payment", "nn_broadcast"):
-            suffix = f"mechanism/AGT-RAM/round/{phase}"
+        # baseline/AGT-RAM/, so match on the path suffix.  Tracing stays
+        # off the per-round path: one loop span, one span per flush.
+        for phase in ("engine_init", "clearing_loop", "clearing_loop/flush"):
+            suffix = f"mechanism/AGT-RAM/{phase}"
             assert any(
                 p.endswith(suffix) for p in record["spans"]
             ), f"missing phase span *{suffix}"
+        assert not any("/round/" in p for p in record["spans"])
 
     def test_baseline_records_have_spans(self, tiny_doc):
         for name in ("Greedy", "Ae-Star"):
@@ -280,19 +282,16 @@ class TestEngineCompareRecord:
         assert record["naive_wall_s"] > 0
         assert record["wall_s"] > 0  # the vectorized wall
 
-    def test_engine_recorded_in_config(self, tiny_doc):
-        assert tiny_doc["config"]["engine"] == "auto"
-
     def test_opt_out_and_engine_override(self):
         doc = run_bench(
             scale="tiny",
             algorithms=["AGT-RAM"],
             repeats=1,
             include_protocol=False,
-            engine="naive",
             include_engine_compare=False,
         )
-        assert doc["config"]["engine"] == "naive"
+        # The engine is fixed, so the config records none.
+        assert "engine" not in doc["config"]
         assert [r["scenario"] for r in doc["results"]] == ["placement"]
 
     def test_skipped_without_agt_ram(self):
@@ -316,26 +315,20 @@ class TestEngineCompareRecord:
         assert cmp["only_in_new"] == ["engine_compare/AGT-RAM"]
 
     def test_cli_engine_flag(self, tmp_path):
-        out = tmp_path / "bench.json"
-        rc = main(
-            [
-                "bench",
-                "--scale",
-                "tiny",
-                "--repeats",
-                "1",
-                "--algorithms",
-                "AGT-RAM",
-                "--engine",
-                "naive",
-                "--no-protocol",
-                "--no-engine-compare",
-                "--out",
-                str(out),
-            ]
-        )
-        assert rc == 0
-        assert load_document(out)["config"]["engine"] == "naive"
+        # The engine is fixed; ``bench --engine`` is a usage error.
+        with pytest.raises(SystemExit) as exc:
+            main(
+                [
+                    "bench",
+                    "--scale",
+                    "tiny",
+                    "--engine",
+                    "naive",
+                    "--out",
+                    str(tmp_path / "bench.json"),
+                ]
+            )
+        assert exc.value.code == 2
 
     def test_cli_prints_engine_compare_line(self, tmp_path, capsys):
         out = tmp_path / "bench.json"

@@ -218,9 +218,13 @@ class TestLibraryIntegration:
             result = run_agt_ram(tiny_instance)
         spans = tracer.snapshot()["spans"]
         assert "mechanism/AGT-RAM" in spans
-        for phase in ("bid_sweep", "argmax", "payment", "nn_broadcast"):
-            path = f"mechanism/AGT-RAM/round/{phase}"
+        for phase in ("engine_init", "clearing_loop"):
+            path = f"mechanism/AGT-RAM/{phase}"
             assert path in spans, f"missing phase span {path}"
+        # Tracing never reaches inside a round: a traced run executes
+        # the production loop.
+        assert spans["mechanism/AGT-RAM/clearing_loop"]["count"] == 1
+        assert not any("/round/" in p for p in spans)
         counters = tracer.snapshot()["counters"]
         assert counters["mechanism/AGT-RAM/rounds"] == result.rounds
 

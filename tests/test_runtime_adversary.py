@@ -227,7 +227,7 @@ class TestQuarantine:
         assert 3 not in q.quarantined
 
     def test_lifecycle_events_emitted(self):
-        sink = ev.RecordingSink()
+        sink = ev.ColumnarSink()
         with ev.capture(sink):
             q = QuarantineManager(QuarantinePolicy(strikes=1, probation=1))
             q.strike(2, rnd=0)
@@ -243,7 +243,7 @@ def _log_bytes(sink):
 
 
 def _run_logged(instance, **kwargs):
-    sink = ev.RecordingSink()
+    sink = ev.ColumnarSink()
     with ev.logical_time(), ev.capture(sink):
         result = SemiDistributedSimulator(**kwargs).run(instance)
     return result, sink
@@ -395,7 +395,7 @@ class TestCollusion:
             2: Bid(agent=2, obj=2, value=1.0),   # booster
             3: Bid(agent=3, obj=0, value=2.0),
         }
-        sink = ev.RecordingSink()
+        sink = ev.ColumnarSink()
         with ev.capture(sink):
             sends = inj.corrupt_round(0, bids, _State(), _Inst())
         # The leader's bid is untouched; the booster sits just under it.

@@ -113,7 +113,7 @@ class TestCentralBody:
     def test_conflicting_bid_emits_validation_event(self):
         from repro.obs import events as ev
 
-        sink = ev.RecordingSink()
+        sink = ev.ColumnarSink()
         bids = [
             BidMessage(sender=0, receiver=-1, obj=0, value=1.0),
             BidMessage(sender=0, receiver=-1, obj=1, value=2.0),

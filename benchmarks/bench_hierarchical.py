@@ -1,17 +1,19 @@
-"""Extension (paper §7): hierarchical/regional mechanisms.
+"""Extension (paper §7): regional mechanisms on the sharded central.
 
 "This would enable the system to be less vulnerable to the failures of
-a single mechanism" — measured: the sequential two-level game exactly
-reproduces the flat mechanism; the concurrent regional game converges
+a single mechanism" — measured: the concurrent regional game converges
 in far fewer global rounds for a small quality cost; and killing one
-regional body degrades savings gracefully where the flat design would
-lose everything.
+regional body (all of its agents down for the run) degrades savings
+gracefully where the flat design would lose everything.
 """
+
+import numpy as np
 
 from _config import BENCH_BASE
 from repro.core.agt_ram import run_agt_ram
-from repro.core.hierarchical import HierarchicalAGTRam
 from repro.experiments.instances import paper_instance
+from repro.runtime.faults import FaultPlan, FaultSchedule
+from repro.runtime.shard import ShardedAGTRam, partition_by_proximity
 from repro.utils.tables import render_table
 
 N_REGIONS = 5
@@ -22,21 +24,22 @@ def run_all():
         BENCH_BASE.with_(rw_ratio=0.95, capacity_fraction=0.45, name="hier")
     )
     flat = run_agt_ram(instance)
-    seq = HierarchicalAGTRam(n_regions=N_REGIONS, mode="sequential", seed=1).run(
-        instance
-    )
-    con = HierarchicalAGTRam(n_regions=N_REGIONS, mode="concurrent", seed=1).run(
-        instance
-    )
-    coop = HierarchicalAGTRam(
-        n_regions=N_REGIONS, mode="concurrent", regional_game="cooperative", seed=1
+    con = ShardedAGTRam(n_regions=N_REGIONS, seed=1).run(instance)
+    coop = ShardedAGTRam(
+        n_regions=N_REGIONS, regional_game="cooperative", seed=1
     ).run(instance)
-    one_down = HierarchicalAGTRam(
-        n_regions=N_REGIONS, mode="concurrent", seed=1, failed_regions=[0]
+    part = partition_by_proximity(instance, N_REGIONS, seed=1)
+    horizon = instance.n_servers * instance.n_objects
+    region_0_down = FaultSchedule(
+        agent_crashes={int(a): [(0, horizon)] for a in np.flatnonzero(part == 0)}
+    )
+    one_down = ShardedAGTRam(
+        n_regions=N_REGIONS,
+        seed=1,
+        faults=FaultPlan(schedule=region_0_down, checkpoint_period=0),
     ).run(instance)
     return {
         "flat": flat,
-        "sequential": seq,
         "concurrent": con,
         "concurrent+cooperative": coop,
         "1-region-down": one_down,
@@ -53,20 +56,15 @@ def test_hierarchical_extension(benchmark, report):
         render_table(
             ["variant", "savings (%)", "global rounds", "replicas"],
             rows,
-            title=f"Hierarchical mechanism ({N_REGIONS} regions) vs flat "
+            title=f"Regional mechanism ({N_REGIONS} regions) vs flat "
             "[R/W=0.95, C=45%]",
         )
     )
-    flat, seq, con, down = (
+    flat, con, down = (
         results["flat"],
-        results["sequential"],
         results["concurrent"],
         results["1-region-down"],
     )
-    import numpy as np
-
-    # Sequential two-level game is allocation-identical to flat.
-    assert np.array_equal(seq.state.x, flat.state.x)
     # Concurrent autonomy: ~n_regions x fewer global rounds...
     assert con.rounds < flat.rounds * 0.6
     # ...at a bounded quality cost.

@@ -2,19 +2,21 @@
 """Regional (hierarchical) AGT-RAM — the paper's Section 7 extension.
 
 Servers are partitioned into proximity regions, each with its own
-regional mechanism; a root body composes them.  The example contrasts:
+regional central body on the sharded runtime.  The example contrasts:
 
-* sequential composition (provably identical to the flat mechanism),
 * concurrent regional autonomy (fewer global rounds, small quality cost),
-* resilience when a regional body fails (the flat design's single
-  central body is a total single point of failure).
+* resilience when a regional body fails — every agent of the region is
+  down for the run (the flat design's single central body is a total
+  single point of failure).
 
 Run:  python examples/hierarchical_regions.py
 """
 
 import numpy as np
 
-from repro import ExperimentConfig, HierarchicalAGTRam, paper_instance, run_agt_ram
+from repro import ExperimentConfig, paper_instance, run_agt_ram
+from repro.runtime.faults import FaultPlan, FaultSchedule
+from repro.runtime.shard import ShardedAGTRam, partition_by_proximity
 from repro.utils.tables import render_table
 
 
@@ -33,21 +35,24 @@ def main() -> None:
     n_regions = 5
 
     flat = run_agt_ram(instance)
-    seq = HierarchicalAGTRam(n_regions=n_regions, mode="sequential", seed=2).run(
-        instance
-    )
-    con = HierarchicalAGTRam(n_regions=n_regions, mode="concurrent", seed=2).run(
-        instance
-    )
+    con = ShardedAGTRam(n_regions=n_regions, seed=2).run(instance)
 
     rows = [
         ["flat AGT-RAM", flat.savings_percent, flat.rounds],
-        ["hierarchical (sequential)", seq.savings_percent, seq.rounds],
-        ["hierarchical (concurrent)", con.savings_percent, con.rounds],
+        ["regional (concurrent)", con.savings_percent, con.rounds],
     ]
+    part = partition_by_proximity(instance, n_regions, seed=2)
+    horizon = instance.n_servers * instance.n_objects
     for dead in range(n_regions):
-        res = HierarchicalAGTRam(
-            n_regions=n_regions, mode="concurrent", seed=2, failed_regions=[dead]
+        region_down = FaultSchedule(
+            agent_crashes={
+                int(a): [(0, horizon)] for a in np.flatnonzero(part == dead)
+            }
+        )
+        res = ShardedAGTRam(
+            n_regions=n_regions,
+            seed=2,
+            faults=FaultPlan(schedule=region_down, checkpoint_period=0),
         ).run(instance)
         rows.append(
             [f"concurrent, region {dead} down", res.savings_percent, res.rounds]
@@ -56,17 +61,16 @@ def main() -> None:
         render_table(
             ["variant", "OTC savings (%)", "global rounds"],
             rows,
-            title=f"hierarchical mechanism over {n_regions} proximity regions",
+            title=f"regional mechanism over {n_regions} proximity regions",
         )
     )
 
-    assert np.array_equal(seq.state.x, flat.state.x)
     print(
-        "\nsequential composition allocated the *identical* scheme to the "
-        "flat mechanism (verified), while the concurrent variant used "
-        f"{flat.rounds - con.rounds} fewer global rounds.\n"
-        "Losing any single regional body costs a few points of savings; "
-        "losing the flat design's central body would cost all of them."
+        f"\nthe concurrent regions used {flat.rounds - con.rounds} fewer "
+        "global rounds than the flat mechanism.\n"
+        "Losing a regional body costs savings roughly in line with its "
+        "share of the servers; losing the flat design's central body "
+        "would cost all of them."
     )
 
     stats = con.extra["region_stats"]

@@ -66,8 +66,6 @@ from repro.core import (
     RandomProjection,
     one_shot_utilities,
     full_run_utilities,
-    HierarchicalAGTRam,
-    partition_by_proximity,
     AdaptiveReplicator,
 )
 from repro.workload.drift import drifting_workloads
@@ -149,8 +147,6 @@ __all__ = [
     "RandomProjection",
     "one_shot_utilities",
     "full_run_utilities",
-    "HierarchicalAGTRam",
-    "partition_by_proximity",
     "AdaptiveReplicator",
     "drifting_workloads",
     # io

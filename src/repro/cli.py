@@ -1060,7 +1060,8 @@ def cmd_shard(args: argparse.Namespace) -> int:
     beyond ``--max-degradation``, if the healthy sharded run's message
     reduction is below ``--min-message-reduction``, or if
     ``--check-null`` finds the null-schedule event stream differing
-    from the unpartitioned one.
+    from the unpartitioned one.  A missing or malformed ``--plan`` file
+    prints ``error: …`` and exits 2, before any run.
     """
     import json
     from pathlib import Path
@@ -1071,6 +1072,22 @@ def cmd_shard(args: argparse.Namespace) -> int:
     from repro.runtime.shard import PartitionSchedule, ShardedAGTRam
     from repro.runtime.simulator import SemiDistributedSimulator
 
+    loaded = None
+    if args.plan:
+        try:
+            loaded = PartitionSchedule.from_dict(
+                json.loads(Path(args.plan).read_text())
+            )
+        except (OSError, ValueError) as exc:
+            print(f"error: --plan {args.plan}: {exc}", file=sys.stderr)
+            return 2
+        if loaded.n_regions != args.regions:
+            print(
+                f"error: --plan {args.plan} covers {loaded.n_regions} "
+                f"regions, --regions is {args.regions}",
+                file=sys.stderr,
+            )
+            return 2
     _apply_out_dir(args)
     if args.scale:
         instance = paper_instance(BENCH_SCALE_CONFIGS[args.scale])
@@ -1132,10 +1149,7 @@ def cmd_shard(args: argparse.Namespace) -> int:
                 f"({null_run.extra['messages']} vs {healthy_msgs})"
             )
 
-    if args.plan:
-        loaded = PartitionSchedule.from_dict(
-            json.loads(Path(args.plan).read_text())
-        )
+    if loaded is not None:
         sweeps = [(None, loaded)]
     else:
         fractions = args.fraction or [0.0, 0.25, 0.5]

@@ -213,7 +213,7 @@ class AGTRam(Mechanism):
         paying the uniform clearing price — the best *rejected* report —
         which stays independent of every winner's own bid.  Rounds drop
         ~B-fold; bids within a round are mutually stale, the same
-        trade-off as the concurrent hierarchical mode.
+        trade-off as the sharded runtime's concurrent regions.
     """
 
     name = "AGT-RAM"

@@ -53,8 +53,8 @@ from repro.obs import tracer as obs
 class DeltaBenefitEngine:
     """Dirty-set-maintained dominant reports over the local CoR oracle.
 
-    Serves the clearing loops of :class:`~repro.core.agt_ram.AGTRam`,
-    the hierarchical and the sharded runtimes through the subset of
+    Serves the clearing loops of :class:`~repro.core.agt_ram.AGTRam`
+    and the sharded runtime's non-cooperative regions through the subset of
     :class:`~repro.drp.benefit.BenefitEngine`'s API they use
     (``best_per_server`` / ``row`` / ``value_at`` / ``refresh_object`` /
     ``refresh_server`` / ``notify_allocation`` / ``resync``), plus the

@@ -1,9 +1,16 @@
-"""Partition-tolerant sharded central: the fault-tolerant §7 mechanism.
+"""Partition-tolerant sharded central: the paper's §7 regional mechanism.
 
-:mod:`repro.core.hierarchical` shards the central body into regional
-sub-centrals; this module makes that sharding survive the failures the
-single central already tolerates (crash/election/checkpoint from
-:mod:`repro.runtime.faults`, Byzantine bids from
+"As future work, we would extend the semi-distributed model to regional
+autonomous, self-governed and self-repairing mechanisms ... This would
+enable the system to be less vulnerable to the failures of a single
+mechanism, and in turn would open the realms of devising hierarchical
+games."
+
+This module shards the central body into regional sub-centrals (servers
+join regions by network proximity, :func:`partition_by_proximity`, or an
+explicit partition is supplied) and makes that sharding survive the
+failures the single central already tolerates (crash/election/checkpoint
+from :mod:`repro.runtime.faults`, Byzantine bids from
 :mod:`repro.runtime.adversary`) **plus** the failure only a sharded
 deployment can have: a network partition between the regional centrals.
 
@@ -11,9 +18,20 @@ Model
 -----
 
 * Regions clear **concurrently** (one sealed-bid regional round per
-  region per global round) on a shared replication state, exactly like
-  ``HierarchicalAGTRam(mode="concurrent")``, over the delta-maintained
-  benefit engine (:class:`~repro.drp.delta.DeltaBenefitEngine`).
+  region per global round) on a shared replication state.  Rounds shrink
+  by ~|regions| at the cost of intra-round staleness: regions commit
+  without seeing each other's allocations until the end-of-round
+  refresh.  A single region is the flat mechanism.
+* The regional game is either ``"non-cooperative"`` — agents keep the
+  private Eq. 5 CoR (the paper's base model), valued by the
+  delta-maintained :class:`~repro.drp.delta.DeltaBenefitEngine` — or
+  ``"cooperative"`` — §7's other option: the agents of a region pool
+  their books, so bids price the whole region's read rerouting
+  (:class:`~repro.drp.global_engine.RegionalBenefitEngine`).
+* A region whose agents are all down (a
+  :class:`~repro.runtime.faults.FaultSchedule` crash interval covering
+  the run) has lost its mechanism; the rest of the system keeps
+  allocating, where the flat mechanism dies with its single central.
 * A seeded :class:`PartitionSchedule` declares half-open round windows
   ``[start, end)`` during which the regional centrals are split into
   *islands*.  At a window start every island forks the replication
@@ -86,9 +104,9 @@ from typing import Any, Iterable, Mapping, Optional, Sequence
 import numpy as np
 
 from repro.core.agents import Bid
-from repro.core.hierarchical import RegionStats, partition_by_proximity
 from repro.drp.cost import total_otc
 from repro.drp.delta import DeltaBenefitEngine
+from repro.drp.global_engine import RegionalBenefitEngine
 from repro.drp.instance import DRPInstance
 from repro.drp.state import ReplicationState
 from repro.errors import ConfigurationError
@@ -115,6 +133,8 @@ from repro.utils.rng import SeedLike, as_generator
 from repro.utils.timing import Timer
 
 __all__ = [
+    "partition_by_proximity",
+    "RegionStats",
     "PartitionWindow",
     "PartitionSchedule",
     "ShardAllocation",
@@ -125,9 +145,77 @@ __all__ = [
 ]
 
 
+def partition_by_proximity(
+    instance: DRPInstance, n_regions: int, *, seed: SeedLike = None
+) -> np.ndarray:
+    """Partition servers into regions by cost-metric proximity.
+
+    Farthest-point seeding (deterministic given ``seed``) followed by
+    nearest-seed assignment: pick a random first seed, then repeatedly
+    add the server farthest from all chosen seeds; finally each server
+    joins its nearest seed's region.
+
+    Returns an (M,) int array of region ids in [0, n_regions).
+    """
+    m = instance.n_servers
+    if not (1 <= n_regions <= m):
+        raise ConfigurationError(
+            f"n_regions must be in [1, {m}], got {n_regions}"
+        )
+    rng = as_generator(seed)
+    seeds = [int(rng.integers(m))]
+    dist_to_seeds = instance.cost[:, seeds[0]].copy()
+    while len(seeds) < n_regions:
+        nxt = int(np.argmax(dist_to_seeds))
+        seeds.append(nxt)
+        dist_to_seeds = np.minimum(dist_to_seeds, instance.cost[:, nxt])
+    return np.asarray(instance.cost[:, seeds].argmin(axis=1), dtype=np.int64)
+
+
+@dataclass
+class RegionStats:
+    """Per-region accounting of a sharded run."""
+
+    region: int
+    servers: int
+    allocations: int = 0
+    payments: float = 0.0
+
+
 def central_id(region: int) -> int:
     """Wire address of region ``r``'s central body: ``-(r + 1)``."""
     return -(int(region) + 1)
+
+
+def _mapping(d: Any, what: str) -> Mapping[str, Any]:
+    if not isinstance(d, Mapping):
+        raise ConfigurationError(
+            f"{what} must be an object, got {type(d).__name__}"
+        )
+    return d
+
+
+def _int(value: Any, what: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ConfigurationError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _list(values: Any, what: str) -> Sequence[Any]:
+    if not isinstance(values, (list, tuple)):
+        raise ConfigurationError(
+            f"{what} must be a list, got {type(values).__name__}"
+        )
+    return values
+
+
+def _crash(pair: Any) -> tuple[int, int]:
+    pair = _list(pair, "central crash")
+    if len(pair) != 2:
+        raise ConfigurationError(
+            f"central crash must be a [round, region] pair, got {pair!r}"
+        )
+    return _int(pair[0], "crash round"), _int(pair[1], "crash region")
 
 
 def _dense_islands(labels: Iterable[int]) -> tuple[int, ...]:
@@ -186,10 +274,18 @@ class PartitionWindow:
 
     @classmethod
     def from_dict(cls, d: Mapping[str, Any]) -> "PartitionWindow":
+        """Parse a window; malformed input raises ConfigurationError."""
+        d = _mapping(d, "partition window")
+        for key in ("start", "end"):
+            if key not in d:
+                raise ConfigurationError(f"partition window is missing {key!r}")
         return cls(
-            start=int(d["start"]),
-            end=int(d["end"]),
-            islands=tuple(int(i) for i in d.get("islands", ())),
+            start=_int(d["start"], "window start"),
+            end=_int(d["end"], "window end"),
+            islands=tuple(
+                _int(i, "window island")
+                for i in _list(d.get("islands", ()), "window islands")
+            ),
         )
 
 
@@ -332,13 +428,17 @@ class PartitionSchedule:
 
     @classmethod
     def from_dict(cls, d: Mapping[str, Any]) -> "PartitionSchedule":
+        """Parse a schedule; malformed input raises ConfigurationError."""
+        d = _mapping(d, "partition schedule")
         return cls(
-            n_regions=int(d.get("n_regions", 4)),
+            n_regions=_int(d.get("n_regions", 4), "n_regions"),
             windows=tuple(
-                PartitionWindow.from_dict(w) for w in d.get("windows", ())
+                PartitionWindow.from_dict(w)
+                for w in _list(d.get("windows", ()), "windows")
             ),
             central_crashes=tuple(
-                (int(r), int(g)) for r, g in d.get("central_crashes", ())
+                _crash(c)
+                for c in _list(d.get("central_crashes", ()), "central_crashes")
             ),
         )
 
@@ -436,9 +536,23 @@ class ShardedAGTRam:
     """Concurrent regional AGT-RAM under partitions, crashes and
     Byzantine bids.  See the module docstring for the model.
 
-    Parameters mirror :class:`~repro.core.hierarchical.HierarchicalAGTRam`
-    (``n_regions``/``partition``/``seed``), plus:
-
+    Parameters
+    ----------
+    n_regions:
+        Number of proximity regions when ``partition`` is not given.
+    partition:
+        Optional explicit (M,) region-id array (e.g. transit-stub
+        domains); overrides ``n_regions``.
+    regional_game:
+        ``"non-cooperative"`` (private CoR bids) or ``"cooperative"``
+        (region-pooled bids); see the module docstring.  The cooperative
+        game cannot be combined with an adversary plan: the trust
+        boundary screens bids against the private valuation.
+    seed:
+        Seed for the proximity partition.
+    max_rounds:
+        Round cap; ``None`` bounds work by ``M*N`` plus the partition
+        calendar.
     plan:
         The :class:`PartitionSchedule`; ``None`` means
         :meth:`PartitionSchedule.null` — the run is then byte-identical
@@ -463,6 +577,7 @@ class ShardedAGTRam:
 
     n_regions: int = 4
     partition: Optional[np.ndarray] = None
+    regional_game: str = "non-cooperative"
     plan: Optional[PartitionSchedule] = None
     faults: Optional[FaultPlan] = None
     adversary: Optional[AdversaryPlan] = None
@@ -471,7 +586,31 @@ class ShardedAGTRam:
     max_rounds: Optional[int] = None
     keep_messages: bool = False
 
+    def __post_init__(self) -> None:
+        if self.regional_game not in ("non-cooperative", "cooperative"):
+            raise ConfigurationError(
+                "regional_game must be 'non-cooperative' or 'cooperative', "
+                f"got {self.regional_game!r}"
+            )
+        if (
+            self.regional_game == "cooperative"
+            and self.adversary is not None
+            and not self.adversary.is_null
+        ):
+            raise ConfigurationError(
+                "the cooperative regional game cannot run under an "
+                "adversary plan: the trust boundary screens private bids"
+            )
+
     # -- helpers -----------------------------------------------------------
+
+    def _engine(
+        self, instance: DRPInstance, state: ReplicationState, part: np.ndarray
+    ) -> Any:
+        """The benefit engine one island clears over."""
+        if self.regional_game == "cooperative":
+            return RegionalBenefitEngine(instance, state, part)
+        return DeltaBenefitEngine(instance, state)
 
     def _regions(self, instance: DRPInstance) -> np.ndarray:
         if self.partition is not None:
@@ -549,7 +688,7 @@ class ShardedAGTRam:
                 index=0,
                 regions=list(region_ids),
                 state=state,
-                engine=DeltaBenefitEngine(instance, state),
+                engine=self._engine(instance, state, part),
             )
         ]
         fork_base: Optional[ReplicationState] = None
@@ -657,7 +796,7 @@ class ShardedAGTRam:
                     index=0,
                     regions=list(region_ids),
                     state=merged,
-                    engine=DeltaBenefitEngine(instance, merged),
+                    engine=self._engine(instance, merged, part),
                 )
             ]
             fork_base = None
@@ -697,7 +836,7 @@ class ShardedAGTRam:
                         new_islands.append(
                             _Island(
                                 index=g, regions=regions_g, state=forked,
-                                engine=DeltaBenefitEngine(instance, forked),
+                                engine=self._engine(instance, forked, part),
                             )
                         )
                 islands = new_islands
@@ -809,7 +948,7 @@ class ShardedAGTRam:
             "payments": payments,
             "partition": part,
             "region_stats": stats,
-            "engine": DeltaBenefitEngine.engine_name,
+            "engine": islands[0].engine.engine_name,
             "schedule": plan.to_dict(),
             "mode": "sharded",
             "messages": log.total_messages(),
@@ -872,9 +1011,9 @@ class ShardedAGTRam:
         the trust boundary screens in front of the regional central,
         and :meth:`CentralBody.decide` arbitrates.  Round events are
         only emitted when the region actually attempts an allocation
-        (matching ``HierarchicalAGTRam``'s silent skip of exhausted
-        regions), and only *accepted* bids are emitted, so the flat and
-        per-shard audits verify each regional round independently.
+        (exhausted regions skip silently), and only *accepted* bids are
+        emitted, so the flat and per-shard audits verify each regional
+        round independently.
         """
         state = island.state
         rcid = central_id(r)

@@ -36,7 +36,7 @@ from repro.drp.cost import total_otc
 from repro.drp.benefit import BenefitEngine
 from repro.drp.instance import DRPInstance
 from repro.drp.state import ReplicationState
-from repro.errors import ConvergenceError
+from repro.errors import ConfigurationError, ConvergenceError
 from repro.result import PlacementResult
 from repro.runtime.adversary import (
     AdversaryInjector,
@@ -59,7 +59,6 @@ from repro.runtime.messages import (
 from repro.obs import events as ev
 from repro.obs import tracer as obs
 from repro.runtime.metrics import RuntimeMetrics
-from repro.runtime.parallel import ParallelBidEvaluator
 from repro.utils.timing import Timer, perf_counter
 
 #: The central body's address in the message log.
@@ -75,8 +74,6 @@ class SemiDistributedSimulator:
         Forwarded to the central body.
     strategies:
         Optional per-agent deviation strategies.
-    max_workers:
-        Thread-pool width for the PARFOR bid sweep (None = serial).
     keep_messages:
         Retain full message objects in the log (memory-heavy; counts and
         bytes are always kept).
@@ -93,14 +90,6 @@ class SemiDistributedSimulator:
         never bid and so never receive replicas, but their primaries
         keep serving (data survives agent failure).  Models the paper's
         robustness concern about per-node failures in a large system.
-    central_failure_round:
-        If set, the central body crashes at the start of that round.
-        The agents self-repair (paper §7): each broadcasts an election
-        vote and the lowest-id live agent takes over as acting central.
-        The protocol — and the final scheme — are unchanged (the
-        central role is stateless); what the failure costs is one
-        election round of messages, which the metrics record and the
-        event stream reports as an :class:`~repro.obs.events.ElectionEvent`.
     faults:
         A :class:`~repro.runtime.faults.FaultPlan` enabling the full
         fault-injection layer: scheduled agent crash/recover intervals
@@ -136,26 +125,22 @@ class SemiDistributedSimulator:
         *,
         payment_rule: str = "second_price",
         strategies: Optional[Mapping[int, Strategy]] = None,
-        max_workers: Optional[int] = None,
         keep_messages: bool = False,
         nn_update_period: int = 1,
         failed_agents: Optional[set[int]] = None,
-        central_failure_round: Optional[int] = None,
         faults: Optional[FaultPlan] = None,
         adversary: Optional[AdversaryPlan] = None,
         quarantine: Optional[QuarantinePolicy] = None,
     ):
         if nn_update_period < 1:
-            raise ValueError("nn_update_period must be >= 1")
-        if central_failure_round is not None and central_failure_round < 0:
-            raise ValueError("central_failure_round must be >= 0")
+            raise ConfigurationError(
+                f"nn_update_period must be >= 1, got {nn_update_period}"
+            )
         self.central = CentralBody(payment_rule)
         self.strategies = dict(strategies) if strategies else {}
-        self.max_workers = max_workers
         self.keep_messages = keep_messages
         self.nn_update_period = nn_update_period
         self.failed_agents = set(failed_agents or ())
-        self.central_failure_round = central_failure_round
         self.faults = faults
         self.adversary = adversary
         self.quarantine = quarantine
@@ -179,18 +164,32 @@ class SemiDistributedSimulator:
 
     # -- §7 self-repair ----------------------------------------------------
 
-    def _elect(
+    def _recover_central(
         self,
-        electorate: set[int],
+        injector: FaultInjector,
+        active: set[int],
+        down: set[int],
+        agents: list[ReplicaAgent],
         metrics: RuntimeMetrics,
         sink: ev.EventSink,
         rnd: int,
     ) -> int:
-        """Leader election: every live agent broadcasts a vote for the
-        lowest live id, which becomes the acting central."""
-        new_central = min(electorate)
-        for voter in sorted(electorate):
-            for peer in sorted(electorate):
+        """Scheduled central crash (§7 self-repair): every live agent
+        broadcasts an election vote for the lowest live id, which takes
+        over as acting central, restores the last checkpoint, and
+        re-learns the newer commits from the agents' state-sync reports.
+        Returns the new acting central."""
+        injector.summary["central_crashes"] += 1
+        if sink.enabled:
+            sink.emit(
+                ev.FaultEvent(
+                    t=ev.now(), round=rnd, kind="central_crash", agent=CENTRAL
+                )
+            )
+        electorate = sorted(set(active - down) or set(active))
+        new_central = electorate[0]
+        for voter in electorate:
+            for peer in electorate:
                 if peer != voter:
                     metrics.log.record(
                         ElectionMessage(
@@ -208,30 +207,6 @@ class SemiDistributedSimulator:
                     voters=len(electorate),
                 )
             )
-        return new_central
-
-    def _recover_central(
-        self,
-        injector: FaultInjector,
-        active: set[int],
-        down: set[int],
-        agents: list[ReplicaAgent],
-        metrics: RuntimeMetrics,
-        sink: ev.EventSink,
-        rnd: int,
-    ) -> int:
-        """Scheduled central crash: elect a successor, restore the last
-        checkpoint, and re-learn the newer commits from the agents'
-        state-sync reports.  Returns the new acting central."""
-        injector.summary["central_crashes"] += 1
-        if sink.enabled:
-            sink.emit(
-                ev.FaultEvent(
-                    t=ev.now(), round=rnd, kind="central_crash", agent=CENTRAL
-                )
-            )
-        electorate = set(active - down) or set(active)
-        new_central = self._elect(electorate, metrics, sink, rnd)
         ckpt = injector.checkpoints.restore()
         replayed = injector.checkpoints.lost_since_checkpoint
         for agent_id in sorted(active - down):
@@ -295,7 +270,7 @@ class SemiDistributedSimulator:
             else:
                 agents.append(ReplicaAgent(server=i))
 
-        with timer, ParallelBidEvaluator(self.max_workers) as evaluator:
+        with timer:
             state = ReplicationState.primaries_only(instance)
             engine = BenefitEngine(instance, state)
             if eventing:
@@ -307,7 +282,6 @@ class SemiDistributedSimulator:
                 state.begin_otc_tracking()
             active = set(range(m)) - self.failed_agents
             acting_central = CENTRAL  # the dedicated body, until it fails
-            handover_round: Optional[int] = None
             pround = 0  # protocol rounds, including stalled ones
             stalled = 0
             prev_down: set[int] = set()
@@ -371,20 +345,6 @@ class SemiDistributedSimulator:
                 return state.tracked_otc() if eventing else 0.0
 
             while active:
-                # Self-repair (§7): the central body crashes; every live
-                # agent broadcasts an election vote for the lowest live
-                # id, which becomes the acting central.  The role is
-                # stateless, so the game resumes at the next round.
-                if (
-                    self.central_failure_round is not None
-                    and handover_round is None
-                    and metrics.rounds >= self.central_failure_round
-                ):
-                    acting_central = self._elect(
-                        active, metrics, sink, metrics.rounds
-                    )
-                    handover_round = metrics.rounds
-
                 round_idx = pround
                 down: set[int] = set()
                 if injector is not None:
@@ -451,7 +411,7 @@ class SemiDistributedSimulator:
                 # PARFOR bid sweep (Figure 2 lines 03-09).
                 t0 = perf_counter() if traced else 0.0
                 live_agents = [agents[i] for i in ordered]
-                bids = evaluator.evaluate(live_agents, engine)
+                bids = [a.make_bid(engine) for a in live_agents]
                 if traced:
                     tracer.add("round/bid_sweep", perf_counter() - t0)
 
@@ -780,7 +740,6 @@ class SemiDistributedSimulator:
                 "metrics": metrics,
                 "agents": agents,
                 "acting_central": acting_central,
-                "central_handover_round": handover_round,
                 "protocol_rounds": pround,
                 **(
                     {"fault_summary": injector.summary_dict()}

@@ -404,6 +404,23 @@ class TestShard:
         capsys.readouterr()
         assert rc == 0
 
+    @pytest.mark.parametrize(
+        "content",
+        [None, "not json", '{"windows": [{"end": 3}]}', '{"n_regions": 2}'],
+        ids=["missing", "not-json", "missing-key", "region-mismatch"],
+    )
+    def test_bad_plan_file_is_usage_error(self, tmp_path, capsys, content):
+        # Hostile plan files are usage errors (exit 2), not a traceback
+        # and not a gate failure (exit 1).
+        plan_file = tmp_path / "plan.json"
+        if content is not None:
+            plan_file.write_text(content)
+        rc = main(["shard", *FAST, "--plan", str(plan_file)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
     def test_message_reduction_gate_fails(self, capsys):
         # No protocol change can cut traffic 100x on this instance.
         rc = main(["shard", *FAST, "--min-message-reduction", "100"])

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from repro.core.agt_ram import run_agt_ram
-from repro.core.hierarchical import HierarchicalAGTRam
 from repro.drp.feasibility import check_state
 from repro.drp.global_engine import RegionalBenefitEngine
 from repro.drp.state import ReplicationState
 from repro.errors import ConfigurationError
+from repro.runtime.adversary import AdversaryPlan
+from repro.runtime.faults import FaultPlan, FaultSchedule
+from repro.runtime.shard import ShardedAGTRam
 from repro.runtime.simulator import SemiDistributedSimulator
 
 
@@ -73,8 +75,8 @@ class TestRegionalBenefitEngine:
 
 class TestCooperativeRegionalGame:
     def test_feasible(self, read_heavy_instance):
-        res = HierarchicalAGTRam(
-            n_regions=4, mode="concurrent", regional_game="cooperative", seed=0
+        res = ShardedAGTRam(
+            n_regions=4, regional_game="cooperative", seed=0
         ).run(read_heavy_instance)
         check_state(res.state)
 
@@ -83,48 +85,69 @@ class TestCooperativeRegionalGame:
         # cooperative regions capture at least roughly the
         # non-cooperative savings (exact dominance is not guaranteed —
         # allocation order changes — but the trend must hold).
-        coop = HierarchicalAGTRam(
-            n_regions=4, mode="concurrent", regional_game="cooperative", seed=0
+        coop = ShardedAGTRam(
+            n_regions=4, regional_game="cooperative", seed=0
         ).run(read_heavy_instance)
-        solo = HierarchicalAGTRam(
-            n_regions=4, mode="concurrent", regional_game="non-cooperative", seed=0
+        solo = ShardedAGTRam(
+            n_regions=4, regional_game="non-cooperative", seed=0
         ).run(read_heavy_instance)
         assert coop.savings_percent > 0.9 * solo.savings_percent
 
     def test_bounded_by_flat_oracle(self, read_heavy_instance):
-        coop = HierarchicalAGTRam(
-            n_regions=4, mode="sequential", regional_game="cooperative", seed=0
+        coop = ShardedAGTRam(
+            n_regions=4, regional_game="cooperative", seed=0
         ).run(read_heavy_instance)
         oracle = run_agt_ram(read_heavy_instance, valuation="global")
         assert coop.savings_percent <= oracle.savings_percent + 1.0
 
     def test_label(self, tiny_instance):
-        res = HierarchicalAGTRam(
+        # One regional runtime: the game shows in the engine it ran.
+        res = ShardedAGTRam(
             n_regions=2, regional_game="cooperative", seed=0
         ).run(tiny_instance)
-        assert "coop" in res.algorithm
+        assert res.algorithm == "Sharded-AGT-RAM"
+        assert res.extra["engine"] == "regional"
 
     def test_bad_game(self):
         with pytest.raises(ConfigurationError):
-            HierarchicalAGTRam(regional_game="zero-sum")
+            ShardedAGTRam(regional_game="zero-sum")
+
+    def test_rejects_adversary_plan(self):
+        # The trust boundary screens bids against the private valuation,
+        # which the pooled regional engine does not provide.
+        plan = AdversaryPlan.random(n_agents=16, fraction=0.25, seed=1)
+        assert not plan.is_null
+        with pytest.raises(ConfigurationError, match="cooperative"):
+            ShardedAGTRam(regional_game="cooperative", adversary=plan)
+        # A null plan arms nothing, so the combination is fine.
+        ShardedAGTRam(
+            regional_game="cooperative", adversary=AdversaryPlan.null()
+        )
+
+
+def _crash_at(rnd):
+    """A scheduled central crash (§7 election + checkpoint recovery)."""
+    return FaultPlan(schedule=FaultSchedule(central_crashes={rnd}))
 
 
 class TestCentralFailover:
     def test_scheme_unchanged_by_failover(self, tiny_instance):
         healthy = SemiDistributedSimulator().run(tiny_instance)
-        repaired = SemiDistributedSimulator(central_failure_round=3).run(
+        repaired = SemiDistributedSimulator(faults=_crash_at(3)).run(
             tiny_instance
         )
         assert np.array_equal(healthy.state.x, repaired.state.x)
         assert repaired.otc == pytest.approx(healthy.otc)
 
     def test_handover_recorded(self, tiny_instance):
-        res = SemiDistributedSimulator(central_failure_round=3).run(tiny_instance)
-        assert res.extra["central_handover_round"] == 3
+        res = SemiDistributedSimulator(faults=_crash_at(3)).run(tiny_instance)
+        injected = res.extra["fault_summary"]["injected"]
+        assert injected["central_crashes"] == 1
+        assert injected["recoveries"] == 1
         assert res.extra["acting_central"] >= 0
 
     def test_election_messages_logged(self, tiny_instance):
-        res = SemiDistributedSimulator(central_failure_round=0).run(tiny_instance)
+        res = SemiDistributedSimulator(faults=_crash_at(0)).run(tiny_instance)
         counts = res.extra["metrics"].log.counts
         m = tiny_instance.n_servers
         assert counts["ElectionMessage"] == m * (m - 1)
@@ -132,24 +155,26 @@ class TestCentralFailover:
     def test_no_failure_no_election(self, tiny_instance):
         res = SemiDistributedSimulator().run(tiny_instance)
         assert "ElectionMessage" not in res.extra["metrics"].log.counts
-        assert res.extra["central_handover_round"] is None
+        assert res.extra["acting_central"] == -1
 
     def test_failover_with_dead_agents(self, tiny_instance):
         res = SemiDistributedSimulator(
-            central_failure_round=1, failed_agents={0, 1}
+            faults=_crash_at(1), failed_agents={0, 1}
         ).run(tiny_instance)
         # The acting central must be a live agent.
         assert res.extra["acting_central"] not in {0, 1}
 
     def test_bad_round(self):
-        with pytest.raises(ValueError):
+        # The round-count knob is gone; failover is scheduled through a
+        # FaultPlan, and the removed keyword fails loudly.
+        with pytest.raises(TypeError):
             SemiDistributedSimulator(central_failure_round=-1)
 
     def test_handover_emits_election_event(self, tiny_instance):
         from repro.obs import events as ev
 
         with ev.capture() as sink:
-            res = SemiDistributedSimulator(central_failure_round=2).run(
+            res = SemiDistributedSimulator(faults=_crash_at(2)).run(
                 tiny_instance
             )
         elections = [
@@ -161,20 +186,20 @@ class TestCentralFailover:
         assert elections[0].voters == tiny_instance.n_servers
 
     def test_immediate_failure_elects_lowest_id(self, tiny_instance):
-        res = SemiDistributedSimulator(central_failure_round=0).run(
+        res = SemiDistributedSimulator(faults=_crash_at(0)).run(
             tiny_instance
         )
-        assert res.extra["central_handover_round"] == 0
+        assert res.extra["fault_summary"]["injected"]["central_crashes"] == 1
         assert res.extra["acting_central"] == 0
 
     def test_failed_agents_with_immediate_central_failure(self, tiny_instance):
-        # Both legacy fault knobs at once: dead agents sit out the
-        # election and the game; the lowest *live* id takes over.
+        # A scheduled crash plus whole-run dead agents: dead agents sit
+        # out the election and the game; the lowest *live* id takes over.
         healthy = SemiDistributedSimulator(failed_agents={0, 1}).run(
             tiny_instance
         )
         res = SemiDistributedSimulator(
-            central_failure_round=0, failed_agents={0, 1}
+            faults=_crash_at(0), failed_agents={0, 1}
         ).run(tiny_instance)
         assert res.extra["acting_central"] == 2
         m = tiny_instance.n_servers
@@ -195,27 +220,22 @@ class TestCentralFailover:
         # Degenerate combination: nobody is left to elect or bid; the
         # run terminates immediately on the primaries-only scheme.
         res = SemiDistributedSimulator(
-            central_failure_round=0,
+            faults=_crash_at(0),
             failed_agents=set(range(tiny_instance.n_servers)),
         ).run(tiny_instance)
         assert res.rounds == 0
-        assert res.extra["central_handover_round"] is None
+        assert res.extra["acting_central"] == -1
         assert "ElectionMessage" not in res.extra["metrics"].log.counts
 
     def test_scheduled_central_crash_matches_legacy_knob_scheme(
         self, tiny_instance
     ):
-        # The legacy knob and the fault-schedule path recover through
-        # the same election protocol and converge to the same scheme.
-        from repro.runtime.faults import FaultPlan, FaultSchedule
-
-        legacy = SemiDistributedSimulator(central_failure_round=3).run(
+        # The removed round-count knob's outcome on this instance: the
+        # healthy scheme, with agent 0 (the lowest live id) acting as
+        # central.  The scheduled crash reproduces both.
+        healthy = SemiDistributedSimulator().run(tiny_instance)
+        scheduled = SemiDistributedSimulator(faults=_crash_at(3)).run(
             tiny_instance
         )
-        scheduled = SemiDistributedSimulator(
-            faults=FaultPlan(schedule=FaultSchedule(central_crashes={3}))
-        ).run(tiny_instance)
-        assert np.array_equal(legacy.state.x, scheduled.state.x)
-        assert scheduled.extra["acting_central"] == legacy.extra[
-            "acting_central"
-        ]
+        assert np.array_equal(healthy.state.x, scheduled.state.x)
+        assert scheduled.extra["acting_central"] == 0

@@ -1,4 +1,4 @@
-"""Property-based tests for the hierarchical and adaptive extensions."""
+"""Property-based tests for the regional (§7) and adaptive extensions."""
 
 from __future__ import annotations
 
@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.adaptive import AdaptiveReplicator
-from repro.core.hierarchical import HierarchicalAGTRam, partition_by_proximity
 from repro.drp.feasibility import check_state
+from repro.runtime.faults import FaultPlan, FaultSchedule
+from repro.runtime.shard import ShardedAGTRam, partition_by_proximity
 from repro.workload.drift import drifting_workloads
 
 from _strategies import drp_instances
@@ -22,22 +23,18 @@ class TestHierarchicalProperties:
     @settings(max_examples=20, deadline=None)
     def test_concurrent_always_feasible(self, inst, n_regions, seed):
         n_regions = min(n_regions, inst.n_servers)
-        res = HierarchicalAGTRam(
-            n_regions=n_regions, mode="concurrent", seed=seed
-        ).run(inst)
+        res = ShardedAGTRam(n_regions=n_regions, seed=seed).run(inst)
         check_state(res.state)
 
-    @given(drp_instances(), st.integers(1, 4), seeds)
+    @given(drp_instances(), seeds)
     @settings(max_examples=15, deadline=None)
-    def test_sequential_matches_flat(self, inst, n_regions, seed):
+    def test_sequential_matches_flat(self, inst, seed):
+        # One allocation per global round is the single-region game.
         from repro.core.agt_ram import run_agt_ram
 
-        n_regions = min(n_regions, inst.n_servers)
-        seq = HierarchicalAGTRam(
-            n_regions=n_regions, mode="sequential", seed=seed
-        ).run(inst)
+        one = ShardedAGTRam(n_regions=1, seed=seed).run(inst)
         flat = run_agt_ram(inst)
-        assert np.array_equal(seq.state.x, flat.state.x)
+        assert np.array_equal(one.state.x, flat.state.x)
 
     @given(drp_instances(), seeds)
     @settings(max_examples=20, deadline=None)
@@ -56,8 +53,17 @@ class TestHierarchicalProperties:
         # degraded system stays feasible, non-harmful, and allocates
         # nothing in the dead region.
         n_regions = min(3, inst.n_servers)
-        degraded = HierarchicalAGTRam(
-            n_regions=n_regions, mode="concurrent", seed=seed, failed_regions=[0]
+        part = partition_by_proximity(inst, n_regions, seed=seed)
+        horizon = inst.n_servers * inst.n_objects
+        region_down = FaultSchedule(
+            agent_crashes={
+                int(a): [(0, horizon)] for a in np.flatnonzero(part == 0)
+            }
+        )
+        degraded = ShardedAGTRam(
+            n_regions=n_regions,
+            seed=seed,
+            faults=FaultPlan(schedule=region_down, checkpoint_period=0),
         ).run(inst)
         check_state(degraded.state)
         assert degraded.savings_percent >= -1e-6

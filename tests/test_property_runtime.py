@@ -1,7 +1,7 @@
 """Property fuzzing of the protocol simulator's option space.
 
 Random instances x random option combinations (lazy NN cadence, agent
-failures, central failure, strategies, thread pool): whatever the
+failures, a scheduled central crash, strategies): whatever the
 configuration, the simulator must terminate with a feasible scheme,
 non-negative savings for truthful play, and a coherent message log.
 """
@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from repro.core.strategies import OverProjection, UnderProjection
 from repro.drp.feasibility import check_state
+from repro.runtime.faults import FaultPlan, FaultSchedule
 from repro.runtime.simulator import SemiDistributedSimulator
 
 from _strategies import drp_instances
@@ -27,9 +28,10 @@ def simulator_options(draw):
     opts = {}
     opts["nn_update_period"] = draw(st.sampled_from([1, 2, 5, 9]))
     if draw(st.booleans()):
-        opts["central_failure_round"] = draw(st.integers(0, 5))
-    if draw(st.booleans()):
-        opts["max_workers"] = draw(st.sampled_from([2, 4]))
+        crash = draw(st.integers(0, 5))
+        opts["faults"] = FaultPlan(
+            schedule=FaultSchedule(central_crashes={crash})
+        )
     return opts
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.drp.feasibility import check_state
+from repro.errors import ConfigurationError
 from repro.runtime.simulator import SemiDistributedSimulator
 
 
@@ -36,8 +37,11 @@ class TestLazyNNUpdates:
         assert lazy.savings_percent > 0.0
 
     def test_bad_period(self):
-        with pytest.raises(ValueError):
+        # Typed, and still a ValueError for callers that catch that.
+        with pytest.raises(ConfigurationError, match="nn_update_period"):
             SemiDistributedSimulator(nn_update_period=0)
+        with pytest.raises(ValueError):
+            SemiDistributedSimulator(nn_update_period=-3)
 
     def test_terminates(self, tiny_instance):
         res = SemiDistributedSimulator(nn_update_period=50).run(tiny_instance)

@@ -1,5 +1,6 @@
 """Tests for the partition-tolerant sharded central (repro.runtime.shard)."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -7,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.hierarchical import HierarchicalAGTRam, partition_by_proximity
 from repro.drp.feasibility import check_state
 from repro.drp.instance import DRPInstance
 from repro.errors import ConfigurationError
@@ -20,6 +20,7 @@ from repro.runtime.shard import (
     ShardAllocation,
     ShardedAGTRam,
     central_id,
+    partition_by_proximity,
     reconcile_divergence,
 )
 
@@ -115,6 +116,46 @@ class TestPartitionSchedule:
         )
         blob = json.dumps(plan.to_dict())
         assert PartitionSchedule.from_dict(json.loads(blob)) == plan
+
+
+class TestHostileScheduleInput:
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"end": 3, "islands": [0, 1]},  # missing start
+            {"start": 0, "islands": [0, 1]},  # missing end
+            {"start": "0", "end": 3, "islands": [0, 1]},
+            {"start": 0, "end": 2.5, "islands": [0, 1]},
+            {"start": True, "end": 3, "islands": [0, 1]},
+            {"start": 0, "end": 3, "islands": "01"},
+            {"start": 0, "end": 3, "islands": [0, None]},
+            [0, 3, [0, 1]],
+            None,
+        ],
+    )
+    def test_window_rejects_malformed(self, doc):
+        with pytest.raises(ConfigurationError):
+            PartitionWindow.from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"windows": [{"end": 3}]},
+            {"windows": {"start": 0, "end": 3}},
+            {"windows": [7]},
+            {"n_regions": "4"},
+            {"n_regions": 4.0},
+            {"central_crashes": [[1]]},
+            {"central_crashes": [[1, 2, 3]]},
+            {"central_crashes": [["1", 0]]},
+            {"central_crashes": 5},
+            [],
+            "windows",
+        ],
+    )
+    def test_schedule_rejects_malformed(self, doc):
+        with pytest.raises(ConfigurationError):
+            PartitionSchedule.from_dict(doc)
 
 
 # -- reconciliation (pure) ---------------------------------------------------
@@ -242,28 +283,29 @@ class TestPartitionProperties:
 
 
 class TestNullEquivalence:
+    # Recorded from the deleted two-level runtime's concurrent mode
+    # (n_regions=4, seed=7) on the tiny instance.
+    HIER_X = "3819fd66f18f328bd6ecb430ed33e193dfd010d451f56de0be2d09bfa46042b6"
+    HIER_STREAM = (
+        "1974514c5149988fe7651c76033d8979c18db3f79f38f64feb81b64e2bda9590"
+    )
+
     def test_matches_hierarchical_concurrent(self, tiny_instance):
-        h = HierarchicalAGTRam(
-            n_regions=4, mode="concurrent", seed=7
-        ).run(tiny_instance)
         s = ShardedAGTRam(n_regions=4, seed=7).run(tiny_instance)
-        assert np.array_equal(h.state.x, s.state.x)
-        assert s.otc == h.otc
-        assert s.rounds == h.rounds
+        x = np.ascontiguousarray(s.state.x).tobytes()
+        assert hashlib.sha256(x).hexdigest() == self.HIER_X
+        assert s.otc == 1598145.4145751991
+        assert s.rounds == 14
 
     def test_event_stream_matches_hierarchical(self, tiny_instance):
-        def stream(runner):
-            with ev.capture() as sink, ev.logical_time():
-                runner.run(tiny_instance)
-            out = [e.to_dict() for e in sink.events]
-            for d in out:
-                if d["type"] in ("run_start", "run_end"):
-                    d.pop("algorithm", None)  # labels differ by design
-            return out
-
-        h = stream(HierarchicalAGTRam(n_regions=4, mode="concurrent", seed=7))
-        s = stream(ShardedAGTRam(n_regions=4, seed=7))
-        assert h == s
+        with ev.capture() as sink, ev.logical_time():
+            ShardedAGTRam(n_regions=4, seed=7).run(tiny_instance)
+        out = [e.to_dict() for e in sink.events]
+        for d in out:
+            if d["type"] in ("run_start", "run_end"):
+                d.pop("algorithm", None)  # labels differ by design
+        blob = "\n".join(json.dumps(d, sort_keys=True) for d in out)
+        assert hashlib.sha256(blob.encode()).hexdigest() == self.HIER_STREAM
 
     def test_null_plan_byte_identical_to_no_plan(self, tiny_instance):
         def run(plan):

@@ -1,9 +1,9 @@
 """Ablation: eager vs lazy NN-table broadcasts (DESIGN.md §5).
 
 The paper's protocol broadcasts the NN update after every allocation
-(Figure 2 lines 19–21).  Broadcasting every T rounds instead trades
-NN-update message volume against bid staleness; this bench measures the
-frontier.
+(Figure 2 lines 19–21).  Broadcasting every T commits instead trades
+NN digest volume (``NNResyncMessage``) against bid staleness; this bench
+measures the frontier.
 """
 
 from _config import BENCH_BASE
@@ -33,7 +33,7 @@ def run_ablation():
             {
                 "period": period,
                 "savings": res.savings_percent,
-                "nn_messages": metrics.log.counts.get("NNUpdateMessage", 0),
+                "nn_messages": metrics.log.counts.get("NNResyncMessage", 0),
                 "replicas": res.replicas_allocated,
             }
         )

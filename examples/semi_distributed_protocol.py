@@ -3,10 +3,11 @@
 
 The paper's scalability argument: servers do the heavy valuation work
 in parallel, the central body only takes a binary decision per round.
-This example runs the message-granular simulator and reports what a
-deployment engineer would budget — message counts, protocol bytes, the
-per-round critical path, and the ideal PARFOR speedup — and confirms
-the simulated protocol lands on exactly the same replication scheme as
+This example runs the message-level protocol (the one-region
+``ShardedAGTRam``, preset as ``SemiDistributedSimulator``) and reports
+what a deployment engineer would budget — message counts, protocol
+bytes, the per-round critical path, and the ideal PARFOR speedup — and
+confirms the protocol lands on exactly the same replication scheme as
 the vectorized engine.
 
 Run:  python examples/semi_distributed_protocol.py
@@ -35,7 +36,7 @@ def main() -> None:
     metrics = sim.extra["metrics"]
 
     assert np.array_equal(sim.state.x, eng.state.x), "protocol != engine!"
-    print("simulated protocol reproduces the vectorized engine's scheme: OK\n")
+    print("message-level protocol reproduces the vectorized engine's scheme: OK\n")
 
     print(f"rounds played:        {metrics.rounds}")
     print(f"replicas allocated:   {sim.replicas_allocated}")

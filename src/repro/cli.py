@@ -28,6 +28,7 @@ from typing import Optional, Sequence
 from repro.core.agt_ram import run_agt_ram
 from repro.core.axioms import verify_axioms
 from repro.drp.instance import DRPInstance
+from repro.errors import CorruptInputError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.instances import paper_instance
 from repro.experiments.runner import PAPER_ALGORITHMS, run_algorithms
@@ -584,7 +585,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
 
 
 def cmd_chaos(args: argparse.Namespace) -> int:
-    """Seeded chaos campaign: run the simulator under a fault plan and
+    """Seeded chaos campaign: run the flat protocol under a fault plan and
     report OTC / round / message degradation against the fault-free
     baseline on the same instance.
 
@@ -663,9 +664,9 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     rows = [
         ["OTC", f"{baseline.otc:,.0f}", f"{chaos.otc:,.0f}",
          f"x{degradation:.4f}"],
-        ["rounds (committed)", baseline.rounds, chaos.rounds, ""],
-        ["rounds (protocol)", baseline.extra["protocol_rounds"],
-         chaos.extra["protocol_rounds"], ""],
+        ["rounds", baseline.rounds, chaos.rounds, ""],
+        ["replicas", baseline.replicas_allocated, chaos.replicas_allocated,
+         ""],
         ["messages", base_log.total_messages(), chaos_log.total_messages(),
          ""],
         ["bytes", base_log.bytes_total, chaos_log.bytes_total, ""],
@@ -699,7 +700,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         "chaos": {
             "otc": chaos.otc,
             "rounds": chaos.rounds,
-            "protocol_rounds": chaos.extra["protocol_rounds"],
+            "replicas": chaos.replicas_allocated,
             "messages": chaos_log.total_messages(),
             "bytes": chaos_log.bytes_total,
             "message_counts": dict(sorted(chaos_log.counts.items())),
@@ -825,7 +826,7 @@ def cmd_adversary(args: argparse.Namespace) -> int:
                 f"exceeds bound x{args.max_degradation:.4f}"
             )
 
-        trust = result.extra["trust_summary"]
+        trust = result.extra.get("boundary", {})
         rows.append(
             [
                 f"{fraction:.2f}",
@@ -835,8 +836,8 @@ def cmd_adversary(args: argparse.Namespace) -> int:
                 len(truth),
                 f"{recall:.3f}",
                 f"{precision:.3f}",
-                len(trust["agents_quarantined"]),
-                len(trust["agents_expelled"]),
+                len(trust.get("agents_quarantined", ())),
+                len(trust.get("agents_expelled", ())),
                 len(false_quarantines),
             ]
         )
@@ -847,7 +848,6 @@ def cmd_adversary(args: argparse.Namespace) -> int:
                 "otc": result.otc,
                 "otc_degradation": degradation,
                 "rounds": result.rounds,
-                "protocol_rounds": result.extra["protocol_rounds"],
                 "feasible": feasible,
                 "audit_ok": audit.ok,
                 "audit_violations": [str(v) for v in audit.violations],
@@ -856,7 +856,7 @@ def cmd_adversary(args: argparse.Namespace) -> int:
                 "recall": recall,
                 "precision": precision,
                 "false_quarantines": false_quarantines,
-                "adversary_summary": result.extra["adversary_summary"],
+                "adversary_summary": result.extra.get("adversary", {}),
                 "trust_summary": trust,
             }
         )
@@ -1049,7 +1049,7 @@ def cmd_shard(args: argparse.Namespace) -> int:
     partition fractions (seeded :class:`PartitionSchedule`\\ s with
     optional regional-central crashes) and reports rounds to
     convergence, OTC degradation, split-brain statistics and the
-    message/byte reduction against the single-central simulator
+    message/byte reduction against the single-central (one-region)
     baseline on the same instance.
 
     Deterministic like ``chaos``: ``--shard-seed`` fixes the proximity
@@ -1116,11 +1116,12 @@ def cmd_shard(args: argparse.Namespace) -> int:
     # resyncs and election storms on top; the reduction is a property
     # of the healthy protocol).
     healthy, _ = sharded(None)
-    healthy_msgs = healthy.extra["messages"]
+    healthy_log = healthy.extra["metrics"].log
+    healthy_msgs = healthy_log.total_messages()
     reduction = base_msgs / healthy_msgs if healthy_msgs else float("inf")
     byte_reduction = (
-        base_log.bytes_total / healthy.extra["message_bytes"]
-        if healthy.extra["message_bytes"]
+        base_log.bytes_total / healthy_log.bytes_total
+        if healthy_log.bytes_total
         else float("inf")
     )
     horizon = args.horizon if args.horizon else max(1, healthy.rounds)
@@ -1143,10 +1144,11 @@ def cmd_shard(args: argparse.Namespace) -> int:
                 "null partition schedule diverges from the unpartitioned "
                 f"run ({len(null_stream)} vs {len(plain_stream)} events)"
             )
-        elif null_run.extra["messages"] != healthy_msgs:
+        elif null_run.extra["metrics"].log.total_messages() != healthy_msgs:
             failures.append(
                 "null partition schedule changes the message count "
-                f"({null_run.extra['messages']} vs {healthy_msgs})"
+                f"({null_run.extra['metrics'].log.total_messages()} vs "
+                f"{healthy_msgs})"
             )
 
     if loaded is not None:
@@ -1196,7 +1198,8 @@ def cmd_shard(args: argparse.Namespace) -> int:
                 f"fraction {label}: OTC degradation x{degradation:.4f} "
                 f"exceeds bound x{args.max_degradation:.4f}"
             )
-        msgs = result.extra["messages"]
+        run_log = result.extra["metrics"].log
+        msgs = run_log.total_messages()
         ratio = base_msgs / msgs if msgs else float("inf")
         rows.append(
             [
@@ -1222,10 +1225,8 @@ def cmd_shard(args: argparse.Namespace) -> int:
                 "otc_degradation": degradation,
                 "rounds": result.rounds,
                 "messages": msgs,
-                "message_bytes": result.extra["message_bytes"],
-                "message_counts": dict(
-                    sorted(result.extra["message_counts"].items())
-                ),
+                "message_bytes": run_log.bytes_total,
+                "message_counts": dict(sorted(run_log.counts.items())),
                 "message_reduction": ratio,
                 "feasible": feasible,
                 "audit_ok": audit.ok,
@@ -1272,7 +1273,7 @@ def cmd_shard(args: argparse.Namespace) -> int:
     )
     print(
         f"sharded (healthy): {healthy_msgs} messages / "
-        f"{healthy.extra['message_bytes']} bytes in {healthy.rounds} rounds "
+        f"{healthy_log.bytes_total} bytes in {healthy.rounds} rounds "
         f"(reduction x{reduction:.2f} msgs, x{byte_reduction:.2f} bytes)"
     )
 
@@ -1293,7 +1294,7 @@ def cmd_shard(args: argparse.Namespace) -> int:
             "otc": healthy.otc,
             "rounds": healthy.rounds,
             "messages": healthy_msgs,
-            "bytes": healthy.extra["message_bytes"],
+            "bytes": healthy_log.bytes_total,
         },
         "message_reduction": reduction,
         "byte_reduction": byte_reduction,
@@ -1523,7 +1524,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--no-protocol",
         action="store_true",
-        help="skip the message-granular simulator scenario",
+        help="skip the message-level protocol scenario",
     )
     p.add_argument(
         "--compare",
@@ -1965,7 +1966,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (CorruptInputError, FileNotFoundError) as exc:
+        # A missing or undecodable input file is a usage error, not a
+        # gate failure (exit 1) or a crash.
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -8,8 +8,8 @@
 * :mod:`repro.core.strategies` — agent reporting strategies: truthful,
   over-, under-, and random projection (the three manipulation cases the
   paper analyzes under Axiom 5).
-* :mod:`repro.core.agents` — the replica agent: private data, eligible
-  object list L_i, dominant report.
+* :mod:`repro.core.agents` — an agent's per-round report (the sealed
+  bid of Figure 2 line 08).
 * :mod:`repro.core.agt_ram` — the AGT-RAM algorithm (Figure 2).
 * :mod:`repro.core.axioms` — the six axioms as machine-checkable
   properties over a recorded mechanism run.
@@ -30,7 +30,6 @@ from repro.core.strategies import (
     UnderProjection,
     RandomProjection,
 )
-from repro.core.agents import ReplicaAgent
 from repro.core.mechanism import Mechanism, RoundRecord, MechanismAudit
 from repro.core.agt_ram import AGTRam, run_agt_ram
 from repro.core.axioms import AxiomCheck, verify_axioms, AXIOM_NAMES
@@ -63,7 +62,6 @@ __all__ = [
     "OverProjection",
     "UnderProjection",
     "RandomProjection",
-    "ReplicaAgent",
     "Mechanism",
     "RoundRecord",
     "MechanismAudit",

@@ -1,24 +1,18 @@
-"""The replica agent — the paper's computational entity per server.
+"""The replica agent's report — the paper's computational entity per
+server speaks to the central body only through it.
 
 Axiom 2 (agent disposition): an agent privately knows the cost of
 replication CoR_ik of each object onto its server (computable only from
 its own read/write frequencies); capacities, topology and everything
-else are public.  The paper argues DRP[π] (private CoR, public capacity)
-is "the only natural choice", and that is what this class models.
-
-Each round the agent recursively evaluates every object in its eligible
-list L_i and reports its dominant valuation (Figure 2, lines 03–08).
+else are public.  Each round the agent evaluates every object in its
+eligible list L_i and reports its dominant valuation (Figure 2, lines
+03–08); the message-level runtime (:mod:`repro.runtime.shard`) reads
+that report from the benefit engine's per-agent best.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-import numpy as np
-
-from repro.core.strategies import Strategy, TruthfulStrategy
-from repro.drp.benefit import BenefitEngine
-from repro.errors import MechanismProtocolError
+from dataclasses import dataclass
 
 
 @dataclass
@@ -29,63 +23,3 @@ class Bid:
     agent: int
     obj: int
     value: float
-
-
-@dataclass
-class ReplicaAgent:
-    """Agent i of the non-cooperative replication game.
-
-    Parameters
-    ----------
-    server:
-        The server index this agent controls.
-    strategy:
-        Reporting strategy; defaults to truthful (the dominant one).
-
-    Notes
-    -----
-    The agent reads its true valuations from a shared
-    :class:`~repro.drp.benefit.BenefitEngine` row — operationally that is
-    "the agent computes CoR from its private read/write counts"; the
-    engine is merely the vectorized store for all agents' private values
-    and never leaks one agent's row to another.
-    """
-
-    server: int
-    strategy: Strategy = field(default_factory=TruthfulStrategy)
-    payments_received: float = 0.0
-    utility: float = 0.0
-    objects_won: list[int] = field(default_factory=list)
-
-    def true_valuations(self, engine: BenefitEngine) -> np.ndarray:
-        """The agent's private CoR vector over all objects; ``-inf`` marks
-        objects outside its eligible list L_i.
-
-        Asks the engine for one row rather than slicing ``matrix`` —
-        the delta engine materializes rows on demand and would pay an
-        O(M·N) full-matrix build per agent otherwise.
-        """
-        return np.array(engine.row(self.server), dtype=np.float64)
-
-    def make_bid(self, engine: BenefitEngine) -> Bid | None:
-        """Compute the dominant report under this agent's strategy.
-
-        Returns ``None`` when L_i is empty (the agent leaves the game,
-        line 18 of Figure 2).
-        """
-        true_vals = self.true_valuations(engine)
-        reported = self.strategy.report(true_vals)
-        if not np.isfinite(reported).any():
-            return None
-        obj = int(np.argmax(reported))
-        return Bid(agent=self.server, obj=obj, value=float(reported[obj]))
-
-    def award(self, obj: int, payment: float, true_value: float) -> None:
-        """Record winning ``obj`` at ``payment`` (Theorem-5 utility)."""
-        if not np.isfinite(true_value):
-            raise MechanismProtocolError(
-                f"agent {self.server} was awarded ineligible object {obj}"
-            )
-        self.payments_received += payment
-        self.utility += true_value - payment
-        self.objects_won.append(obj)

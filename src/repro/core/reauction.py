@@ -125,9 +125,9 @@ def reauction_objects(
     """Re-auction ``objects`` and merge the winners back into ``state``.
 
     ``placer`` maps the sub-instance to a :class:`PlacementResult`; by
-    default the semi-distributed simulator runs the full message-level
-    protocol (its nested run_start/run_end event stream audits cleanly
-    inside a serving campaign's log).  ``state`` is not mutated — the
+    default the one-region message-level runtime runs the full protocol
+    (its nested run_start/run_end event stream audits cleanly inside a
+    serving campaign's log).  ``state`` is not mutated — the
     merged scheme comes back in the outcome.
 
     ``otc_before`` / ``otc_after`` are evaluated against the demand the

@@ -1260,43 +1260,23 @@ class RoundSeries:
     payment: list[float] = field(default_factory=list)
     #: Number of agents that bid each round.
     n_bids: list[int] = field(default_factory=list)
-    #: Protocol messages sent during each round (simulator only).
-    messages: list[int] = field(default_factory=list)
-    #: Protocol bytes sent during each round (simulator only).
-    bytes: list[int] = field(default_factory=list)
 
     def append(
-        self,
-        *,
-        otc: float,
-        best_bid: float,
-        payment: float,
-        n_bids: int,
-        messages: Optional[int] = None,
-        bytes: Optional[int] = None,
+        self, *, otc: float, best_bid: float, payment: float, n_bids: int
     ) -> None:
         self.otc.append(float(otc))
         self.best_bid.append(float(best_bid))
         self.payment.append(float(payment))
         self.n_bids.append(int(n_bids))
-        if messages is not None:
-            self.messages.append(int(messages))
-        if bytes is not None:
-            self.bytes.append(int(bytes))
 
     def __len__(self) -> int:
         return len(self.otc)
 
     def to_dict(self) -> dict[str, list]:
-        """JSON-safe dict; message/byte series are omitted when unused."""
-        out: dict[str, list] = {
+        """JSON-safe dict of the four trajectories."""
+        return {
             "otc": list(self.otc),
             "best_bid": list(self.best_bid),
             "payment": list(self.payment),
             "n_bids": list(self.n_bids),
         }
-        if self.messages:
-            out["messages"] = list(self.messages)
-        if self.bytes:
-            out["bytes"] = list(self.bytes)
-        return out

@@ -30,11 +30,9 @@ Document layout (``SCHEMA_VERSION`` = 3)::
           "events_bytes": ...,          # their captured columnar bytes
           # mechanism scenarios (v2): per-round trajectories
           "series": {"otc": [...], "best_bid": [...], "payment": [...],
-                     "n_bids": [...],
-                     # protocol scenario only:
-                     "messages": [...], "bytes": [...],
-                     "parallel_round_work": [...],
-                     "serial_round_work": [...]},
+                     "n_bids": [...]},
+          # (the protocol scenario's series is its per-round PARFOR
+          # work: "parallel_round_work" / "serial_round_work")
           # protocol scenario only:
           "messages": ..., "bytes": ..., "parallel_speedup": ...
         }, ...
@@ -262,11 +260,10 @@ def _protocol_record(
         "counters": snap["counters"],
         **_obs_fields(sink, events_before, bytes_before),
     }
-    series = best.extra.get("round_series")
-    series_dict = series.to_dict() if series is not None else {}
-    series_dict["parallel_round_work"] = summary["parallel_round_work"]
-    series_dict["serial_round_work"] = summary["serial_round_work"]
-    record["series"] = series_dict
+    record["series"] = {
+        "parallel_round_work": summary["parallel_round_work"],
+        "serial_round_work": summary["serial_round_work"],
+    }
     return record
 
 
@@ -322,8 +319,8 @@ def run_bench(
         Runs per scenario; ``wall_s`` is the best of them (span stats
         aggregate across all repeats).
     include_protocol:
-        Also run the message-granular simulator scenario, which is the
-        only source of message/byte counts.
+        Also run the message-level protocol scenario (the one-region
+        runtime), which is the only source of message/byte counts.
     event_sink:
         Sink receiving the full event stream of every scenario run
         (e.g. a :class:`~repro.obs.events.ColumnarSink` to export a

@@ -5,11 +5,14 @@ messages between server agents and a lightweight central body.  This
 package simulates that protocol at message granularity:
 
 * :mod:`repro.runtime.messages` — the wire protocol (BID, ALLOCATE,
-  PAYMENT, NN_UPDATE) with byte accounting,
+  PAYMENT, NN_RESYNC, STATE_SYNC, ELECTION) with byte accounting,
 * :mod:`repro.runtime.central` — the central decision body, whose only
   output per round is the binary replicate / don't-replicate decision,
-* :mod:`repro.runtime.simulator` — a round-based simulation driving
-  :class:`~repro.core.agents.ReplicaAgent` objects through Figure 2,
+* :mod:`repro.runtime.shard` — the message-level runtime
+  (:class:`~repro.runtime.shard.ShardedAGTRam`): regional centrals
+  clearing Figure 2's rounds under partitions, crashes, a lossy channel
+  and Byzantine bids; :mod:`repro.runtime.simulator`'s
+  ``SemiDistributedSimulator`` is its one-region (flat central) preset,
 * :mod:`repro.runtime.metrics` — rounds / messages / bytes accounting,
 * :mod:`repro.runtime.faults` — fault injection: crash/recover
   schedules, lossy channels, bid deadlines with quorum degradation, and
@@ -24,7 +27,6 @@ from repro.runtime.messages import (
     BidMessage,
     AllocateMessage,
     PaymentMessage,
-    NNUpdateMessage,
     NNResyncMessage,
     StateSyncMessage,
     ElectionMessage,
@@ -61,7 +63,6 @@ __all__ = [
     "BidMessage",
     "AllocateMessage",
     "PaymentMessage",
-    "NNUpdateMessage",
     "NNResyncMessage",
     "StateSyncMessage",
     "ElectionMessage",

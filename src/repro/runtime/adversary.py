@@ -34,7 +34,7 @@ alters — which is what lets a campaign score detection
 precision/recall.
 
 **Defence** — :class:`TrustBoundary` bundles the three hardening
-layers the simulator puts in front of
+layers the runtime puts in front of every regional
 :meth:`~repro.runtime.central.CentralBody.decide`:
 
 * :class:`MessageValidator` — schema / range / feasibility /
@@ -299,7 +299,7 @@ class AdversaryPlan:
 
 
 class AdversaryInjector:
-    """Executes one :class:`AdversaryPlan` against a simulator run.
+    """Executes one :class:`AdversaryPlan` against a runtime run.
 
     :meth:`corrupt_round` maps the round's honest bids to the payloads
     actually transmitted, emitting a ground-truth
@@ -748,13 +748,13 @@ class QuarantineManager:
         )
 
 
-# -- the bundle the simulator consumes ---------------------------------------
+# -- the bundle the runtime consumes -----------------------------------------
 
 
 class TrustBoundary:
-    """Validator + detector + quarantine, wired for one simulator run.
+    """Validator + detector + quarantine, wired for one runtime run.
 
-    The simulator calls, per round:
+    The runtime calls, per regional round:
 
     1. :meth:`filter_bidders` — drop quarantined/expelled agents from
        the bid sweep (their traffic is served without new replicas)
@@ -773,9 +773,6 @@ class TrustBoundary:
         self.validator = MessageValidator(instance)
         self.detector = ManipulationDetector()
         self.quarantine = QuarantineManager(policy or QuarantinePolicy())
-        #: Consecutive no-commit rounds attributable to rejections; a
-        #: safety valve against a validator/adversary livelock.
-        self.rejected_stalls = 0
 
     @staticmethod
     def _emit_all(events: Sequence[ev.Event]) -> None:
@@ -806,8 +803,7 @@ class TrustBoundary:
         ``oracle`` is forwarded to the detector: a raw valuation matrix
         or a benefit engine exposing ``value_at``.  Returns
         ``(accepted, offended)`` where ``offended`` says at least one
-        bid was rejected or flagged this round (the simulator must not
-        treat a quiet view as game termination then).
+        bid was rejected or flagged this round.
         """
         accepted, vevents = self.validator.screen(bids, state, rnd)
         self._emit_all(vevents)

@@ -32,9 +32,8 @@ class RoundOutcome:
     """What the central body announces after one round of bids.
 
     ``rejected`` lists agents whose bids were discarded as protocol
-    violations (unknown sender id, equivocation) — the Byzantine layer
-    and the simulator use it to distinguish "quiet round, game over"
-    from "every bid this round was rejected, keep playing".
+    violations (unknown sender id, equivocation), so a quiet round can
+    be told apart from one whose every bid was rejected.
     """
 
     decision: Decision

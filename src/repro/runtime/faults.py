@@ -2,7 +2,8 @@
 
 The paper claims AGT-RAM survives the failure modes of "large
 distributed computing systems"; this module makes that claim testable.
-It provides the fault model the simulator consumes:
+It provides the fault model the message-level runtime
+(:class:`~repro.runtime.shard.ShardedAGTRam`) consumes:
 
 * :class:`FaultSchedule` — a seeded, fully materialized plan of agent
   crash/recover intervals, central-body crash rounds, and straggler
@@ -24,18 +25,25 @@ It provides the fault model the simulator consumes:
   allocation list) and round counter, taken every ``period`` commits.
 * :class:`FaultPlan` — the user-facing bundle of all of the above, the
   single ``faults=`` argument of
-  :class:`~repro.runtime.simulator.SemiDistributedSimulator`.
+  :class:`~repro.runtime.shard.ShardedAGTRam` (and of its one-region
+  preset :class:`~repro.runtime.simulator.SemiDistributedSimulator`).
 * :class:`FaultInjector` — the runtime engine built from a plan: it
   owns the channel RNG, performs the retry/backoff transmission loops,
   records every injected fault through :mod:`repro.obs.events`, and
   keeps the campaign summary counters.
+
+Central crashes in the schedule crash region 0's central body, which
+under the runtime's addressing (``-(region + 1)``) is the flat central
+``-1``.
 
 Failure semantics (documented in ``docs/robustness.md``):
 
 * **Bids are deadline-bound.**  A bid dropped or delayed past the
   deadline on its final retransmission is *lost for the round*; the
   central body proceeds with the quorum that arrived (graceful
-  degradation) and the loser simply re-bids next round.
+  degradation) and the loser simply re-bids next round.  A round that
+  lost a bid, or that some agent sat out in a crash it recovers from,
+  never ends the game: only a clean quiet round does.
 * **NN-update traffic is gossiped reliably.**  Drops cost retransmitted
   messages and bytes, never consistency — so every agent's view stays
   exact and the mechanism's equilibrium reasoning survives.
@@ -217,10 +225,15 @@ class FaultSchedule:
 
     def agent_down(self, agent: int, rnd: int) -> bool:
         """Is ``agent`` crashed during protocol round ``rnd``?"""
+        return self.recovery_round(agent, rnd) is not None
+
+    def recovery_round(self, agent: int, rnd: int) -> Optional[int]:
+        """End of the crash interval covering round ``rnd`` — the round
+        ``agent`` comes back — or ``None`` when it is up."""
         for start, end in self.agent_crashes.get(agent, ()):
             if start <= rnd < end:
-                return True
-        return False
+                return end
+        return None
 
     def is_straggler(self, rnd: int, agent: int) -> bool:
         return (rnd, agent) in self.stragglers
@@ -438,7 +451,7 @@ class CheckpointStore:
 
 @dataclass(frozen=True)
 class FaultPlan:
-    """Everything the simulator needs to run one chaos scenario."""
+    """Everything the runtime needs to run one chaos scenario."""
 
     schedule: FaultSchedule = field(default_factory=FaultSchedule.null)
     channel: ChannelConfig = field(default_factory=ChannelConfig)
@@ -474,10 +487,9 @@ _RELIABLE_CAP = 64
 
 
 class FaultInjector:
-    """Executes one :class:`FaultPlan` against a simulator run.
+    """Executes one :class:`FaultPlan` against a runtime run.
 
-    Owns the lossy channel, the checkpoint store, and the campaign
-    summary counters; every injected fault is emitted through the active
+    Owns the lossy channel and the campaign summary counters; every injected fault is emitted through the active
     event sink (:mod:`repro.obs.events`) so the audit and the exporters
     can see it.
     """
@@ -487,7 +499,6 @@ class FaultInjector:
         self.schedule = plan.schedule
         self.quorum = plan.quorum
         self.channel = FaultyChannel(plan.channel, seed=plan.seed)
-        self.checkpoints = CheckpointStore(plan.checkpoint_period)
         self.summary: dict[str, int] = {
             "bid_attempts": 0,
             "bids_lost": 0,
@@ -611,5 +622,4 @@ class FaultInjector:
             "plan": self.plan.to_dict(),
             "injected": dict(self.summary),
             "channel": dict(self.channel.stats),
-            "checkpoints_taken": self.checkpoints.taken,
         }

@@ -1,7 +1,7 @@
 """The mechanism's wire protocol with byte accounting.
 
 Message sizes follow a compact binary encoding (8-byte float values,
-4-byte integer ids, 1-byte tags) so the simulator can report protocol
+4-byte integer ids, 1-byte tags) so the runtime can report protocol
 overhead in bytes — the quantity a deployment engineer would budget.
 """
 
@@ -67,29 +67,14 @@ class PaymentMessage(Message):
 
 
 @dataclass(frozen=True)
-class NNUpdateMessage(Message):
-    """Agent-internal NN table refresh acknowledgement (lines 19–21).
-
-    Modeled as a message so the accounting covers the full broadcast
-    fan-out of a round.
-    """
-
-    obj: int = -1
-
-    def wire_bytes(self) -> int:
-        return Message.WIRE_BYTES + 4
-
-
-@dataclass(frozen=True)
 class NNResyncMessage(Message):
-    """Periodic NN-table resync under the lazy update protocol.
+    """Central → agent NN-table digest (Figure 2 lines 19–21).
 
-    Where the eager protocol acknowledges one object per round
-    (:class:`NNUpdateMessage`), the lazy protocol batches: every
-    ``nn_update_period`` rounds each agent refreshes *all* objects
-    allocated since the last broadcast.  ``objs`` is that stale set, and
-    the wire size scales with it — the honest cost of the batched
-    refresh (4 bytes per object id plus a 4-byte count).
+    Carries the objects allocated since the agent's last digest: the
+    round's commits under the eager protocol, everything allocated over
+    the last ``nn_update_period`` commits under the lazy one.  The wire
+    size scales with ``objs`` — the honest cost of the batched refresh
+    (4 bytes per object id plus a 4-byte count).
     """
 
     objs: tuple[int, ...] = ()

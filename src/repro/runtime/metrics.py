@@ -1,8 +1,11 @@
-"""Runtime accounting for the semi-distributed simulation."""
+"""Runtime accounting for the message-level protocol runtime."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
+
+import numpy as np
 
 from repro.runtime.messages import MessageLog
 
@@ -14,7 +17,8 @@ class RuntimeMetrics:
     Attributes
     ----------
     rounds:
-        Mechanism rounds played (each allocates at most one replica).
+        Protocol rounds played, stalled ones included (each region
+        allocates at most one replica per round).
     log:
         Per-message-type counts and byte totals.
     parallel_round_work:
@@ -31,13 +35,10 @@ class RuntimeMetrics:
     parallel_round_work: list[int] = field(default_factory=list)
     serial_round_work: list[int] = field(default_factory=list)
 
-    def record_round_work(self, per_agent_evaluations: list[int]) -> None:
-        if per_agent_evaluations:
-            self.parallel_round_work.append(max(per_agent_evaluations))
-            self.serial_round_work.append(sum(per_agent_evaluations))
-        else:
-            self.parallel_round_work.append(0)
-            self.serial_round_work.append(0)
+    def record_round_work(self, per_agent_evaluations: Sequence[int]) -> None:
+        work = np.asarray(per_agent_evaluations, dtype=np.int64)
+        self.parallel_round_work.append(int(work.max(initial=0)))
+        self.serial_round_work.append(int(work.sum()))
 
     @property
     def critical_path_work(self) -> int:

@@ -665,7 +665,7 @@ def run_scenario(scenario: Scenario, *, strict: bool = False) -> ScenarioOutcome
         "placement": {
             "otc": placement.otc,
             "rounds": placement.rounds,
-            "messages": extra.get("messages"),
+            "messages": extra["metrics"].log.total_messages(),
             "windows": extra.get("windows"),
             "heals": extra.get("heals"),
             "conflicts": extra.get("conflicts"),

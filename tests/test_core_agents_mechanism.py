@@ -1,59 +1,83 @@
-"""Tests for ReplicaAgent and the Mechanism/audit abstractions."""
+"""Tests for agent reports and the Mechanism/audit abstractions."""
 
 import numpy as np
 import pytest
 
-from repro.core.agents import Bid, ReplicaAgent
 from repro.core.mechanism import MechanismAudit, RoundRecord
 from repro.core.strategies import OverProjection, UnderProjection
-from repro.drp.benefit import BenefitEngine
+from repro.drp.delta import DeltaBenefitEngine
 from repro.drp.state import ReplicationState
 from repro.errors import MechanismProtocolError
+from repro.obs import events as ev
+from repro.runtime.adversary import MessageValidator
+from repro.runtime.messages import BidMessage
+from repro.runtime.simulator import SemiDistributedSimulator
 
 
 @pytest.fixture()
 def engine(line_instance):
     state = ReplicationState.primaries_only(line_instance)
-    return BenefitEngine(line_instance, state)
+    return DeltaBenefitEngine(line_instance, state)
+
+
+def _run_events(instance):
+    with ev.logical_time(), ev.capture() as sink:
+        result = SemiDistributedSimulator().run(instance)
+    return result, list(sink.iter_events())
 
 
 class TestReplicaAgent:
-    def test_truthful_bid_is_argmax(self, engine):
-        agent = ReplicaAgent(server=2)
-        bid = agent.make_bid(engine)
-        assert isinstance(bid, Bid)
+    """An agent's report in the message-level runtime: its dominant
+    valuation over L_i, one sealed bid per round."""
+
+    def test_truthful_bid_is_argmax(self, line_instance, engine):
+        _, events = _run_events(line_instance)
+        bids = {
+            e.agent: e
+            for e in events
+            if isinstance(e, ev.BidEvent) and e.round == 0
+        }
+        bid = bids[2]
         assert bid.obj == 0 and bid.value == pytest.approx(10.0)
+        assert bid.obj == int(np.argmax(engine.row(2)))
 
     def test_true_valuations_copy(self, engine):
-        agent = ReplicaAgent(server=1)
-        v = agent.true_valuations(engine)
+        v = engine.row(1)
         v[:] = 0  # mutating the copy must not corrupt the engine
-        assert engine.matrix[1, 0] != 0
+        assert engine.row(1)[0] != 0
 
     def test_strategy_scales_report(self, engine):
-        agent = ReplicaAgent(server=2, strategy=OverProjection(2.0))
-        bid = agent.make_bid(engine)
-        assert bid.value == pytest.approx(20.0)
+        reported = OverProjection(2.0).report(engine.row(2))
+        assert reported.max() == pytest.approx(20.0)
 
     def test_abstains_when_no_eligible(self, line_instance):
         state = ReplicationState.primaries_only(line_instance)
         state.add_replica(1, 0)
         state.add_replica(1, 1)  # server 1 full
-        engine = BenefitEngine(line_instance, state)
-        agent = ReplicaAgent(server=1)
-        assert agent.make_bid(engine) is None
+        vals, _ = DeltaBenefitEngine(line_instance, state).best_per_server()
+        assert not np.isfinite(vals[1])  # empty L_i: no bid to send
 
-    def test_award_bookkeeping(self):
-        agent = ReplicaAgent(server=0)
-        agent.award(obj=3, payment=4.0, true_value=9.0)
-        assert agent.payments_received == 4.0
-        assert agent.utility == 5.0
-        assert agent.objects_won == [3]
+    def test_award_bookkeeping(self, line_instance):
+        result, events = _run_events(line_instance)
+        winners = [e for e in events if isinstance(e, ev.WinnerEvent)]
+        paid = [e for e in events if isinstance(e, ev.PaymentEvent)]
+        assert winners and len(winners) == len(paid)
+        for w, p in zip(winners, paid):
+            assert p.agent == w.agent
+            assert w.value - p.amount >= 0.0  # Theorem-5 utility
+        for agent in range(line_instance.n_servers):
+            assert result.extra["payments"][agent] == pytest.approx(
+                sum(p.amount for p in paid if p.agent == agent)
+            )
 
-    def test_award_ineligible_rejected(self):
-        agent = ReplicaAgent(server=0)
-        with pytest.raises(MechanismProtocolError):
-            agent.award(obj=1, payment=0.0, true_value=-np.inf)
+    def test_award_ineligible_rejected(self, line_instance):
+        state = ReplicationState.primaries_only(line_instance)
+        bid = BidMessage(sender=0, receiver=-1, obj=0, value=9.0)
+        accepted, events = MessageValidator(line_instance).screen(
+            [bid], state, 0
+        )
+        assert accepted == []  # server 0 already hosts object 0
+        assert [e.kind for e in events] == ["feasibility"]
 
 
 class TestMechanismAudit:

@@ -8,6 +8,7 @@ from repro.drp.feasibility import check_state
 from repro.drp.global_engine import RegionalBenefitEngine
 from repro.drp.state import ReplicationState
 from repro.errors import ConfigurationError
+from repro.obs import events as ev
 from repro.runtime.adversary import AdversaryPlan
 from repro.runtime.faults import FaultPlan, FaultSchedule
 from repro.runtime.shard import ShardedAGTRam
@@ -130,6 +131,28 @@ def _crash_at(rnd):
     return FaultPlan(schedule=FaultSchedule(central_crashes={rnd}))
 
 
+def _failover(instance, crash=None, dead=()):
+    """Run the flat protocol with an optional central crash at round
+    ``crash`` and ``dead`` agents down for the whole run.  Returns the
+    result and the acting central: the stand-in the last central
+    recovery elected, or -1 (the dedicated central) when none ran."""
+    horizon = instance.n_servers * instance.n_objects
+    plan = FaultPlan(
+        schedule=FaultSchedule(
+            central_crashes=() if crash is None else {crash},
+            agent_crashes={a: [(0, horizon)] for a in dead},
+        )
+    )
+    with ev.capture() as sink:
+        res = SemiDistributedSimulator(faults=plan).run(instance)
+    acting = [
+        e.acting_central
+        for e in sink.iter_events()
+        if isinstance(e, ev.RecoveryEvent) and e.kind == "central"
+    ]
+    return res, (acting[-1] if acting else -1)
+
+
 class TestCentralFailover:
     def test_scheme_unchanged_by_failover(self, tiny_instance):
         healthy = SemiDistributedSimulator().run(tiny_instance)
@@ -140,11 +163,11 @@ class TestCentralFailover:
         assert repaired.otc == pytest.approx(healthy.otc)
 
     def test_handover_recorded(self, tiny_instance):
-        res = SemiDistributedSimulator(faults=_crash_at(3)).run(tiny_instance)
+        res, acting = _failover(tiny_instance, crash=3)
         injected = res.extra["fault_summary"]["injected"]
         assert injected["central_crashes"] == 1
         assert injected["recoveries"] == 1
-        assert res.extra["acting_central"] >= 0
+        assert acting >= 0
 
     def test_election_messages_logged(self, tiny_instance):
         res = SemiDistributedSimulator(faults=_crash_at(0)).run(tiny_instance)
@@ -153,16 +176,14 @@ class TestCentralFailover:
         assert counts["ElectionMessage"] == m * (m - 1)
 
     def test_no_failure_no_election(self, tiny_instance):
-        res = SemiDistributedSimulator().run(tiny_instance)
+        res, acting = _failover(tiny_instance)
         assert "ElectionMessage" not in res.extra["metrics"].log.counts
-        assert res.extra["acting_central"] == -1
+        assert acting == -1
 
     def test_failover_with_dead_agents(self, tiny_instance):
-        res = SemiDistributedSimulator(
-            faults=_crash_at(1), failed_agents={0, 1}
-        ).run(tiny_instance)
+        _, acting = _failover(tiny_instance, crash=1, dead={0, 1})
         # The acting central must be a live agent.
-        assert res.extra["acting_central"] not in {0, 1}
+        assert acting not in {0, 1}
 
     def test_bad_round(self):
         # The round-count knob is gone; failover is scheduled through a
@@ -171,37 +192,30 @@ class TestCentralFailover:
             SemiDistributedSimulator(central_failure_round=-1)
 
     def test_handover_emits_election_event(self, tiny_instance):
-        from repro.obs import events as ev
-
         with ev.capture() as sink:
-            res = SemiDistributedSimulator(faults=_crash_at(2)).run(
-                tiny_instance
-            )
+            SemiDistributedSimulator(faults=_crash_at(2)).run(tiny_instance)
         elections = [
             e for e in sink.events if isinstance(e, ev.ElectionEvent)
         ]
+        recoveries = [
+            e for e in sink.events if isinstance(e, ev.RecoveryEvent)
+        ]
         assert len(elections) == 1
         assert elections[0].round == 2
-        assert elections[0].candidate == res.extra["acting_central"]
+        assert elections[0].candidate == recoveries[-1].acting_central
         assert elections[0].voters == tiny_instance.n_servers
 
     def test_immediate_failure_elects_lowest_id(self, tiny_instance):
-        res = SemiDistributedSimulator(faults=_crash_at(0)).run(
-            tiny_instance
-        )
+        res, acting = _failover(tiny_instance, crash=0)
         assert res.extra["fault_summary"]["injected"]["central_crashes"] == 1
-        assert res.extra["acting_central"] == 0
+        assert acting == 0
 
     def test_failed_agents_with_immediate_central_failure(self, tiny_instance):
         # A scheduled crash plus whole-run dead agents: dead agents sit
         # out the election and the game; the lowest *live* id takes over.
-        healthy = SemiDistributedSimulator(failed_agents={0, 1}).run(
-            tiny_instance
-        )
-        res = SemiDistributedSimulator(
-            faults=_crash_at(0), failed_agents={0, 1}
-        ).run(tiny_instance)
-        assert res.extra["acting_central"] == 2
+        healthy, _ = _failover(tiny_instance, dead={0, 1})
+        res, acting = _failover(tiny_instance, crash=0, dead={0, 1})
+        assert acting == 2
         m = tiny_instance.n_servers
         live = m - 2
         assert res.extra["metrics"].log.counts["ElectionMessage"] == live * (
@@ -218,13 +232,14 @@ class TestCentralFailover:
 
     def test_all_agents_failed_with_central_failure(self, tiny_instance):
         # Degenerate combination: nobody is left to elect or bid; the
-        # run terminates immediately on the primaries-only scheme.
-        res = SemiDistributedSimulator(
-            faults=_crash_at(0),
-            failed_agents=set(range(tiny_instance.n_servers)),
-        ).run(tiny_instance)
-        assert res.rounds == 0
-        assert res.extra["acting_central"] == -1
+        # crashed round stalls, the next (quiet) one ends the game on
+        # the primaries-only scheme.
+        res, acting = _failover(
+            tiny_instance, crash=0, dead=set(range(tiny_instance.n_servers))
+        )
+        assert res.rounds == 1
+        assert res.replicas_allocated == 0
+        assert acting == -1
         assert "ElectionMessage" not in res.extra["metrics"].log.counts
 
     def test_scheduled_central_crash_matches_legacy_knob_scheme(
@@ -234,8 +249,6 @@ class TestCentralFailover:
         # healthy scheme, with agent 0 (the lowest live id) acting as
         # central.  The scheduled crash reproduces both.
         healthy = SemiDistributedSimulator().run(tiny_instance)
-        scheduled = SemiDistributedSimulator(faults=_crash_at(3)).run(
-            tiny_instance
-        )
+        scheduled, acting = _failover(tiny_instance, crash=3)
         assert np.array_equal(healthy.state.x, scheduled.state.x)
-        assert scheduled.extra["acting_central"] == 0
+        assert acting == 0

@@ -174,20 +174,22 @@ class TestRoundSeries:
     def test_append_and_len(self):
         s = ev.RoundSeries()
         s.append(otc=10.0, best_bid=2.0, payment=1.0, n_bids=3)
-        s.append(otc=8.0, best_bid=1.5, payment=0.5, n_bids=2, messages=7, bytes=99)
+        s.append(otc=8.0, best_bid=1.5, payment=0.5, n_bids=2)
         assert len(s) == 2
         assert s.otc == [10.0, 8.0]
-        assert s.messages == [7]
+        assert s.n_bids == [3, 2]
 
     def test_to_dict_omits_unused_protocol_series(self):
         s = ev.RoundSeries()
         s.append(otc=1.0, best_bid=1.0, payment=0.0, n_bids=1)
         d = s.to_dict()
         assert set(d) == {"otc", "best_bid", "payment", "n_bids"}
-        s.append(otc=0.5, best_bid=0.5, payment=0.0, n_bids=1, messages=3, bytes=12)
+        # Protocol message/byte accounting lives on RuntimeMetrics, not
+        # on the round series.
+        s.append(otc=0.5, best_bid=0.5, payment=0.0, n_bids=1)
         d = s.to_dict()
-        assert d["messages"] == [3]
-        assert d["bytes"] == [12]
+        assert set(d) == {"otc", "best_bid", "payment", "n_bids"}
+        assert d["otc"] == [1.0, 0.5]
         json.dumps(d)
 
 
@@ -220,11 +222,13 @@ class TestMechanismEmission:
 
         with ev.capture() as sink:
             result = SemiDistributedSimulator().run(tiny_instance)
-        series = result.extra["round_series"]
-        assert len(series) == result.rounds
-        assert len(series.messages) == result.rounds
-        assert all(m > 0 for m in series.messages)
-        assert all(b > 0 for b in series.bytes)
+        # Per-round protocol accounting lives on the runtime metrics.
+        metrics = result.extra["metrics"]
+        work = metrics.serial_round_work
+        assert len(work) >= result.rounds
+        assert all(w > 0 for w in work[: result.rounds])
+        assert metrics.log.total_messages() > 0
+        assert metrics.log.bytes_total > 0
         winners = [e for e in sink.events if isinstance(e, ev.WinnerEvent)]
         assert len(winners) == result.rounds
 

@@ -6,11 +6,17 @@ outcome (a faithful implementation).  Hypothesis draws small instances
 capacity and read/write mix, then checks:
 
 * flat AGT-RAM with events off, flat AGT-RAM recording into a
-  :class:`~repro.obs.events.ColumnarSink`, the message-level
-  :class:`~repro.runtime.simulator.SemiDistributedSimulator` and the
-  one-region :class:`~repro.runtime.shard.ShardedAGTRam` all place the
-  same replicas and charge the same payments (the simulator and the flat
-  mechanism also agree on every agent's utility);
+  :class:`~repro.obs.events.ColumnarSink`, the flat message-level
+  protocol (:class:`~repro.runtime.simulator.SemiDistributedSimulator`,
+  the one-region preset) and an explicit
+  :class:`~repro.runtime.shard.ShardedAGTRam` with ``n_regions=1`` all
+  place the same replicas in the same rounds and charge the same
+  payments (the protocol's logged utilities equal the flat mechanism's);
+* batched AGT-RAM (B in {2, 4}) stays feasible and its log passes the
+  offline audit;
+* the one-region runtime under a random transient fault schedule and a
+  lossy channel stays feasible and its log passes the offline audit
+  modulo the declared fault log;
 * multi-region sharded runs (k in {2, 4}, either regional game, with or
   without a region down for the whole run) stay feasible and pass the
   per-shard and cross-shard offline audit.
@@ -22,12 +28,12 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.agt_ram import run_agt_ram
+from repro.core.agt_ram import AGTRam, run_agt_ram
 from repro.drp.feasibility import check_state
 from repro.drp.instance import DRPInstance, build_instance
 from repro.obs import events as ev
-from repro.obs.audit import audit_sharded_events
-from repro.runtime.faults import FaultPlan, FaultSchedule
+from repro.obs.audit import audit_events, audit_sharded_events
+from repro.runtime.faults import ChannelConfig, FaultPlan, FaultSchedule
 from repro.runtime.shard import ShardedAGTRam, partition_by_proximity
 from repro.runtime.simulator import SemiDistributedSimulator
 from repro.topology import make_topology, transit_stub_graph
@@ -81,15 +87,69 @@ def test_every_path_computes_the_centralized_outcome(inst):
     flat = run_agt_ram(inst)
     with ev.capture(ev.ColumnarSink()):
         recorded = run_agt_ram(inst)
-    sim = SemiDistributedSimulator().run(inst)
+    with ev.capture() as sink:
+        sim = SemiDistributedSimulator().run(inst)
     one = ShardedAGTRam(n_regions=1).run(inst)
     for other in (recorded, sim, one):
         assert np.array_equal(other.state.x, flat.state.x), other.algorithm
         assert np.array_equal(
             other.extra["payments"], flat.extra["payments"]
         ), other.algorithm
-    assert np.array_equal(sim.extra["utilities"], flat.extra["utilities"])
-    assert recorded.rounds == sim.rounds == flat.rounds
+    events = list(sink.iter_events())
+    winners = [e for e in events if isinstance(e, ev.WinnerEvent)]
+    paid = [e for e in events if isinstance(e, ev.PaymentEvent)]
+    utilities = np.zeros(inst.n_servers)
+    for w, p in zip(winners, paid):
+        utilities[w.agent] += w.value - p.amount
+    assert np.array_equal(utilities, flat.extra["utilities"])
+    assert recorded.rounds == sim.rounds == one.rounds == flat.rounds
+
+
+@given(differential_instances(), st.sampled_from([2, 4]))
+@settings(max_examples=60, deadline=None)
+def test_batched_runs_are_feasible_and_audited(inst, batch):
+    with ev.capture() as sink:
+        result = AGTRam(batch_size=batch).run(inst)
+    check_state(result.state)
+    report = audit_events(sink.iter_events())
+    assert report.ok, report.summary()
+
+
+@st.composite
+def transient_faults(draw, instance: DRPInstance) -> FaultPlan:
+    """Crashes that all end, stragglers, central crashes, a lossy link."""
+    seed = draw(st.integers(min_value=0, max_value=2**16))
+    schedule = FaultSchedule.random(
+        n_agents=instance.n_servers,
+        horizon=2 * instance.n_objects + 8,
+        seed=seed,
+        crash_rate=draw(st.sampled_from([0.0, 0.05, 0.1])),
+        straggler_rate=draw(st.sampled_from([0.0, 0.05, 0.1])),
+        central_crash_rate=draw(st.sampled_from([0.0, 0.05])),
+    )
+    channel = ChannelConfig(
+        drop=draw(st.sampled_from([0.0, 0.1, 0.2])),
+        delay=draw(st.sampled_from([0.0, 0.05])),
+        duplicate=draw(st.sampled_from([0.0, 0.05])),
+    )
+    return FaultPlan(
+        schedule=schedule,
+        channel=channel,
+        checkpoint_period=draw(st.sampled_from([0, 2, 8])),
+        seed=seed,
+    )
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_one_region_under_transient_faults_is_audited(data):
+    inst = data.draw(differential_instances())
+    faults = data.draw(transient_faults(inst))
+    with ev.capture() as sink:
+        result = SemiDistributedSimulator(faults=faults).run(inst)
+    check_state(result.state)
+    report = audit_events(sink.iter_events())
+    assert report.ok, report.summary()
 
 
 @given(

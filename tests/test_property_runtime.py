@@ -1,9 +1,10 @@
-"""Property fuzzing of the protocol simulator's option space.
+"""Property fuzzing of the flat protocol runtime's option space.
 
 Random instances x random option combinations (lazy NN cadence, agent
-failures, a scheduled central crash, strategies): whatever the
-configuration, the simulator must terminate with a feasible scheme,
-non-negative savings for truthful play, and a coherent message log.
+failures, a scheduled central crash, misreporting agents): whatever the
+configuration, the one-region runtime must terminate with a feasible
+scheme, non-negative savings for truthful play, and a coherent message
+log.
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.strategies import OverProjection, UnderProjection
 from repro.drp.feasibility import check_state
+from repro.runtime.adversary import AdversaryPlan, AdversarySpec
 from repro.runtime.faults import FaultPlan, FaultSchedule
 from repro.runtime.simulator import SemiDistributedSimulator
 
@@ -28,10 +29,7 @@ def simulator_options(draw):
     opts = {}
     opts["nn_update_period"] = draw(st.sampled_from([1, 2, 5, 9]))
     if draw(st.booleans()):
-        crash = draw(st.integers(0, 5))
-        opts["faults"] = FaultPlan(
-            schedule=FaultSchedule(central_crashes={crash})
-        )
+        opts["central_crashes"] = {draw(st.integers(0, 5))}
     return opts
 
 
@@ -48,25 +46,40 @@ class TestSimulatorFuzz:
                 replace=False,
             )
         )
-        sim = SemiDistributedSimulator(failed_agents=failed, **opts)
+        horizon = inst.n_servers * inst.n_objects
+        faults = FaultPlan(
+            schedule=FaultSchedule(
+                central_crashes=opts.get("central_crashes", ()),
+                agent_crashes={a: [(0, horizon)] for a in failed},
+            )
+        )
+        sim = SemiDistributedSimulator(
+            faults=faults, nn_update_period=opts["nn_update_period"]
+        )
         res = sim.run(inst)
         check_state(res.state)
         assert res.savings_percent >= -1e-6
         metrics = res.extra["metrics"]
-        # Message-log coherence: one payment per allocation round.
-        assert metrics.log.counts.get("PaymentMessage", 0) == metrics.rounds
+        # Message-log coherence: one payment per allocation.
+        assert (
+            metrics.log.counts.get("PaymentMessage", 0)
+            == res.replicas_allocated
+        )
+        assert metrics.rounds == res.rounds
         assert metrics.log.bytes_total >= 0
 
     @given(drp_instances(), seeds)
     @settings(max_examples=15, deadline=None)
     def test_strategies_never_break_feasibility(self, inst, seed):
         rng = np.random.default_rng(seed)
-        strategies = {}
+        liars = {}
         for agent in range(0, inst.n_servers, 2):
-            strategies[agent] = (
-                OverProjection(2.0) if rng.random() < 0.5 else UnderProjection(0.5)
+            liars[agent] = AdversarySpec(
+                "inflate" if rng.random() < 0.5 else "deflate", factor=2.0
             )
-        res = SemiDistributedSimulator(strategies=strategies).run(inst)
+        res = SemiDistributedSimulator(
+            adversary=AdversaryPlan(agents=liars)
+        ).run(inst)
         check_state(res.state)
 
     @given(drp_instances())

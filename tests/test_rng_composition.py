@@ -212,7 +212,7 @@ class TestDormancy:
         def messages(plan):
             kw = {} if plan is None else {"adversary": plan}
             r = ShardedAGTRam(n_regions=3, seed=9, **kw).run(comp_instance)
-            return r.extra["messages"]
+            return r.extra["metrics"].log.total_messages()
 
         baseline = messages(None)
         always = messages(
@@ -235,7 +235,7 @@ class TestDormancy:
             r = ShardedAGTRam(
                 n_regions=3, seed=9, adversary=plan, quarantine=policy
             ).run(comp_instance)
-            return r.extra["messages"]
+            return r.extra["metrics"].log.total_messages()
 
         harsh = messages(
             QuarantinePolicy(strikes=1, probation=2, max_quarantines=1)

@@ -22,8 +22,8 @@ class TestLazyNNUpdates:
         eager = SemiDistributedSimulator(nn_update_period=1).run(read_heavy_instance)
         lazy = SemiDistributedSimulator(nn_update_period=8).run(read_heavy_instance)
         assert (
-            lazy.extra["metrics"].log.counts.get("NNUpdateMessage", 0)
-            < eager.extra["metrics"].log.counts["NNUpdateMessage"]
+            lazy.extra["metrics"].log.counts.get("NNResyncMessage", 0)
+            < eager.extra["metrics"].log.counts["NNResyncMessage"]
         )
 
     def test_quality_degrades_or_matches(self, read_heavy_instance):

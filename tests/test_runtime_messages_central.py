@@ -9,7 +9,6 @@ from repro.runtime.messages import (
     BidMessage,
     MessageLog,
     NNResyncMessage,
-    NNUpdateMessage,
     PaymentMessage,
     StateSyncMessage,
 )
@@ -32,7 +31,9 @@ class TestWireBytes:
         assert PaymentMessage(sender=-1, receiver=0, amount=1.0).wire_bytes() == 17
 
     def test_nn_update_size(self):
-        assert NNUpdateMessage(sender=0, receiver=0, obj=2).wire_bytes() == 13
+        # One round's NN update is a one-object digest.
+        msg = NNResyncMessage(sender=-1, receiver=0, objs=(2,))
+        assert msg.wire_bytes() == 13 + 4
 
     def test_nn_resync_scales_with_payload(self):
         empty = NNResyncMessage(sender=0, receiver=0, objs=())

@@ -10,10 +10,13 @@ from repro.obs import events as ev
 from repro.obs.audit import audit_sharded_events
 from repro.runtime.scenario import (
     CATALOG,
+    LOTTERY_BUDGET_CAP,
+    LOTTERY_BUDGET_MARGIN,
     AdversaryPlane,
     FaultPlane,
     PartitionPlane,
     Scenario,
+    expected_degraded_fraction,
     materialize,
     run_scenario,
     scenario_fails,
@@ -139,6 +142,36 @@ class TestCatalog:
         assert mat.adversary is None
         assert mat.quarantine is None
         assert mat.partition is None
+
+
+class TestLotteryBudget:
+    def test_budget_derives_from_the_tickets_own_rates(self):
+        for seed in range(10):
+            sc = Scenario.random(seed)
+            expected = expected_degraded_fraction(
+                sc.faults, sc.partition, horizon=sc.horizon,
+                regions=sc.regions,
+            )
+            assert sc.max_degraded_fraction == min(
+                LOTTERY_BUDGET_CAP, expected + LOTTERY_BUDGET_MARGIN
+            )
+            assert sc.max_degraded_fraction <= 0.9
+
+    def test_expected_fraction_of_the_plane_formulas(self):
+        assert expected_degraded_fraction(
+            None, None, horizon=32, regions=4
+        ) == 0.0
+        # p = 0.05, L = 4 -> q = 0.2 / 1.2; c = 0.1 downs every agent.
+        faults = FaultPlane(crash_rate=0.05, mean_outage=4.0,
+                            central_crash_rate=0.1)
+        assert expected_degraded_fraction(
+            faults, None, horizon=32, regions=4
+        ) == pytest.approx(1 - (1 - 0.2 / 1.2) * 0.9)
+        # 25% of the horizon plus one mean width (8 of 32 rounds).
+        part = PartitionPlane(fraction=0.25, mean_width=8.0)
+        assert expected_degraded_fraction(
+            None, part, horizon=32, regions=4
+        ) == pytest.approx(0.5)
 
 
 class TestComposedAudit:

@@ -205,10 +205,5 @@ examples:
 clean:
 	rm -rf build dist *.egg-info src/*.egg-info .pytest_cache .ruff_cache \
 		.mypy_cache bench.json events.jsonl trace.json metrics.prom \
-		out \
-		chaos_events.jsonl chaos_report.json chaos_faults.json \
-		adversary_events.jsonl adversary_report.json \
-		serve_events.jsonl serve_report.json serve_drift_events.jsonl \
-		serve_drift_report.json shard_events.jsonl shard_report.json \
-		shard_plans.json
+		out
 	find . -name __pycache__ -type d -exec rm -rf {} +

@@ -300,16 +300,17 @@ class _Auditor:
     # -- event dispatch ----------------------------------------------------
 
     def feed(self, event: Event) -> None:
-        if isinstance(event, RunStart):
+        kind = type(event)
+        if kind is RunStart:
             self._run_stack.append(event.algorithm)
             self._residuals = {}
             self.report.runs_audited += 1
-        elif isinstance(event, RunEnd):
+        elif kind is RunEnd:
             self._finalize_run()
             if self._run_stack:
                 self._run_stack.pop()
             self._residuals = {}
-        elif isinstance(event, RoundStart):
+        elif kind is RoundStart:
             if self._round is not None:
                 self._flag(
                     self._round.index,
@@ -318,7 +319,7 @@ class _Auditor:
                     f"{self._round.index} ended",
                 )
             self._round = _Round(index=event.round)
-        elif isinstance(event, BidEvent):
+        elif kind is BidEvent:
             if self._round is None:
                 self._flag(event.round, "structure", "bid outside any round")
                 return
@@ -331,20 +332,20 @@ class _Auditor:
                 return
             self._round.bids[event.agent] = event
             self.report.bids_seen += 1
-        elif isinstance(event, WinnerEvent):
+        elif kind is WinnerEvent:
             if self._round is None:
                 self._flag(event.round, "structure", "winner outside any round")
                 return
             self._round.winners.append(event)
-        elif isinstance(event, PaymentEvent):
+        elif kind is PaymentEvent:
             if self._round is None:
                 self._flag(event.round, "structure", "payment outside any round")
                 return
             self._round.payments.append(event)
-        elif isinstance(event, CapacityReject):
+        elif kind is CapacityReject:
             if self._round is not None:
                 self._round.rejects.append(event)
-        elif isinstance(event, TimeoutEvent):
+        elif kind is TimeoutEvent:
             self.report.timeouts_seen += 1
             if self._round is None:
                 self._flag(event.round, "structure", "timeout outside any round")
@@ -358,31 +359,31 @@ class _Auditor:
                         f"that agent never bid this round",
                     )
             self._round.missing.update(event.agents)
-        elif isinstance(event, ValidationEvent):
+        elif kind is ValidationEvent:
             self.report.validations_seen += 1
             if self._round is not None and event.agent >= 0:
                 self._round.rejected.add(event.agent)
-        elif isinstance(event, ManipulationEvent):
+        elif kind is ManipulationEvent:
             self.report.manipulations_seen += 1
-        elif isinstance(event, QuarantineEvent):
+        elif kind is QuarantineEvent:
             self.report.quarantines_seen += 1
             if event.action in ("quarantine", "expel"):
                 self._quarantined_at.setdefault(event.agent, []).append(
                     event.round
                 )
-        elif isinstance(event, AdversaryEvent):
+        elif kind is AdversaryEvent:
             self.report.adversarial_bids_seen += 1
-        elif isinstance(event, FaultEvent):
+        elif kind is FaultEvent:
             self.report.faults_seen += 1
-        elif isinstance(event, ElectionEvent):
+        elif kind is ElectionEvent:
             self.report.elections_seen += 1
-        elif isinstance(event, CheckpointEvent):
+        elif kind is CheckpointEvent:
             self.report.checkpoints_seen += 1
-        elif isinstance(event, RecoveryEvent):
+        elif kind is RecoveryEvent:
             self.report.recoveries_seen += 1
-        elif isinstance(event, NNUpdateEvent):
+        elif kind is NNUpdateEvent:
             pass
-        elif isinstance(event, RoundEnd):
+        elif kind is RoundEnd:
             if self._round is None:
                 self._flag(event.round, "structure", "round_end without start")
                 return
@@ -628,17 +629,11 @@ def audit_files(
     multi-gigabyte log audits in bounded memory with verdicts identical
     to a whole-log audit.
     """
-    from repro.obs.export import event_log_chunks, open_event_stream
+    from repro.obs.export import iter_event_logs
 
-    resolved: list[Path] = []
-    for p in paths:
-        resolved.extend(event_log_chunks(p))
-
-    def chained() -> Iterable[Event]:
-        for path in resolved:
-            yield from open_event_stream(path)
-
-    return audit_stream(chained(), window=window, on_window=on_window)
+    return audit_stream(
+        iter_event_logs(paths), window=window, on_window=on_window
+    )
 
 
 def audit_file(path: str | Path) -> AuditReport:
@@ -1061,17 +1056,9 @@ def audit_sharded_events(events: Iterable[Event]) -> ShardedAuditReport:
 
 def audit_sharded_files(paths: Sequence[str | Path]) -> ShardedAuditReport:
     """Audit one logical sharded event log spread over files, lazily."""
-    from repro.obs.export import event_log_chunks, open_event_stream
+    from repro.obs.export import iter_event_logs
 
-    resolved: list[Path] = []
-    for p in paths:
-        resolved.extend(event_log_chunks(p))
-
-    def chained() -> Iterable[Event]:
-        for path in resolved:
-            yield from open_event_stream(path)
-
-    return audit_sharded_stream(chained())
+    return audit_sharded_stream(iter_event_logs(paths))
 
 
 def audit_sharded_file(path: str | Path) -> ShardedAuditReport:
@@ -1267,10 +1254,6 @@ def audit_serving_events(events: Iterable[Event]) -> ServingAuditReport:
 def audit_serving_file(path: str | Path) -> ServingAuditReport:
     """Load an event log (JSONL or binary, possibly chunked) and audit
     its serving campaign."""
-    from repro.obs.export import event_log_chunks, open_event_stream
+    from repro.obs.export import iter_event_logs
 
-    def chained() -> Iterable[Event]:
-        for chunk in event_log_chunks(path):
-            yield from open_event_stream(chunk)
-
-    return audit_serving_events(chained())
+    return audit_serving_events(iter_event_logs([path]))

@@ -27,11 +27,13 @@ good for ordering and durations, meaningless across processes.
 
 from __future__ import annotations
 
+import json
 import time
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import asdict, dataclass, field, fields
-from typing import Any, ClassVar, Iterable, Iterator, Optional
+from dataclasses import dataclass, field, fields
+from operator import attrgetter
+from typing import Any, Callable, ClassVar, Iterable, Iterator, Optional
 
 import numpy as _np
 
@@ -70,10 +72,15 @@ __all__ = [
     "ReconcileEvent",
     "InvariantEvent",
     "parse_event",
+    "FieldPlan",
+    "field_plan",
+    "json_value",
     "logical_time",
     "EventSink",
     "NullSink",
     "ColumnarSink",
+    "SinkStream",
+    "stream_items",
     "NULL_SINK",
     "current",
     "install",
@@ -127,9 +134,24 @@ class Event:
 
     def to_dict(self) -> dict[str, Any]:
         """Flat JSON-safe dict, ``type`` included."""
-        d = asdict(self)
+        plan = field_plan(type(self))
+        d = dict(zip(plan.names, plan.values(self)))
         d["type"] = self.type
         return d
+
+
+def _tuple_fields(self: Event) -> None:
+    """``__post_init__`` of the kinds with tuple fields: any sequence (a
+    list, a numpy array) is stored as a tuple of ints or of int pairs."""
+    for name, ann in field_plan(type(self)).fields:
+        value = getattr(self, name)
+        if ann == "tuple[int, ...]":
+            value = tuple(int(x) for x in value)
+        elif ann == "tuple[tuple[int, int], ...]":
+            value = tuple((int(a), int(b)) for a, b in value)
+        else:
+            continue
+        object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -305,8 +327,7 @@ class TimeoutEvent(Event):
     received: int = 0
     quorum_met: bool = True
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "agents", tuple(self.agents))
+    __post_init__ = _tuple_fields
 
 
 @dataclass(frozen=True)
@@ -484,12 +505,6 @@ class InvariantEvent(Event):
     detail: str = ""
 
 
-def _pairs(value: Any) -> tuple[tuple[int, int], ...]:
-    """Coerce a (server, obj)-pair sequence (or its JSON list-of-lists
-    form) back into the canonical nested-tuple representation."""
-    return tuple((int(a), int(b)) for a, b in value)
-
-
 @dataclass(frozen=True)
 class ServeStart(Event):
     """A serving campaign begins against a frozen placement snapshot.
@@ -509,11 +524,7 @@ class ServeStart(Event):
     primaries: tuple[int, ...] = ()
     replicas: tuple[tuple[int, int], ...] = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "primaries", tuple(int(p) for p in self.primaries)
-        )
-        object.__setattr__(self, "replicas", _pairs(self.replicas))
+    __post_init__ = _tuple_fields
 
 
 @dataclass(frozen=True)
@@ -657,12 +668,7 @@ class ReauctionEvent(Event):
     otc_after: float = 0.0
     rounds: int = 0
 
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "objects", tuple(int(k) for k in self.objects)
-        )
-        object.__setattr__(self, "added", _pairs(self.added))
-        object.__setattr__(self, "removed", _pairs(self.removed))
+    __post_init__ = _tuple_fields
 
 
 @dataclass(frozen=True)
@@ -681,10 +687,7 @@ class PartitionEvent(Event):
     round: int = 0
     islands: tuple[int, ...] = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "islands", tuple(int(i) for i in self.islands)
-        )
+    __post_init__ = _tuple_fields
 
 
 @dataclass(frozen=True)
@@ -703,10 +706,7 @@ class HealEvent(Event):
     islands: tuple[int, ...] = ()
     divergent: int = 0
 
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "islands", tuple(int(i) for i in self.islands)
-        )
+    __post_init__ = _tuple_fields
 
 
 @dataclass(frozen=True)
@@ -733,15 +733,7 @@ class ReconcileEvent(Event):
     refunded_payment: float = 0.0
     reauctioned: tuple[int, ...] = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "conflicts", tuple(int(k) for k in self.conflicts)
-        )
-        object.__setattr__(self, "kept", _pairs(self.kept))
-        object.__setattr__(self, "revoked", _pairs(self.revoked))
-        object.__setattr__(
-            self, "reauctioned", tuple(int(k) for k in self.reauctioned)
-        )
+    __post_init__ = _tuple_fields
 
 
 #: ``type`` tag -> event class, for parsing serialized records.
@@ -782,18 +774,164 @@ EVENT_TYPES: dict[str, type[Event]] = {
 }
 
 
+# -- the per-kind field plan -------------------------------------------------
+
+#: The encoder ``json.dumps(record, sort_keys=True)`` builds, made once.
+_ENCODE = json.JSONEncoder(sort_keys=True).encode
+_SEQ = frozenset({list, tuple})
+
+
+def _ints(value: Any) -> bool:
+    return all(type(x) is int for x in value)
+
+
+def _int_pairs(value: Any) -> bool:
+    return all(
+        type(p) in _SEQ and len(p) == 2 and _ints(p) for p in value
+    )
+
+
+#: Every event field has one of exactly these annotation shapes:
+#: annotation -> (decoded JSON types accepted, element check).  A
+#: ``float`` field takes ints too (an int-valued float field renders as
+#: ``0``); ``bool`` is never an ``int``; tuple fields arrive as lists.
+_FIELD_SHAPES: dict[str, tuple[frozenset, Optional[Callable[[Any], bool]]]] = {
+    "float": (frozenset({int, float}), None),
+    "int": (frozenset({int}), None),
+    "bool": (frozenset({bool}), None),
+    "str": (frozenset({str}), None),
+    "tuple[int, ...]": (_SEQ, _ints),
+    "tuple[tuple[int, int], ...]": (_SEQ, _int_pairs),
+}
+
+
+def json_value(value: Any) -> str:
+    """``value`` exactly as ``json.dumps(..., sort_keys=True)`` renders it
+    inside a record: ``repr`` for plain ints and finite plain floats, the
+    json encoder for everything else (non-finite floats, bools, strings,
+    tuples, int and float subclasses)."""
+    cls = type(value)
+    if cls is int or (cls is float and value - value == 0.0):
+        return repr(value)
+    return _ENCODE(value)
+
+
+def _getter(names: tuple[str, ...]) -> Callable[[Any], tuple]:
+    get = attrgetter(*names)
+    return get if len(names) > 1 else lambda obj: (get(obj),)
+
+
+class FieldPlan:
+    """One event kind's fields, resolved once for every codec.
+
+    ``fields`` holds ``(name, annotation)`` in declaration order (the
+    REVB payload order) and ``values(event)`` reads them as a tuple;
+    ``line`` is the kind's JSONL record template (keys sorted, a ``%s``
+    slot per field) filled from ``sorted_values(event)``.
+    """
+
+    def __init__(self, cls: type[Event]) -> None:
+        self.cls = cls
+        self.tag = cls.type
+        self.fields = tuple((f.name, f.type) for f in fields(cls))
+        for name, ann in self.fields:
+            if ann not in _FIELD_SHAPES:
+                raise TypeError(
+                    f"{cls.__name__}.{name}: annotation {ann!r} has no codec"
+                )
+        self.names = tuple(name for name, _ in self.fields)
+        self.values = _getter(self.names)
+        self.line, slots = self.template()
+        self.sorted_values = _getter(slots)
+        self._shapes = {
+            name: (ann, *_FIELD_SHAPES[ann]) for name, ann in self.fields
+        }
+        #: Kinds without tuple fields restore a complete record as pickle
+        #: does: straight into the instance ``__dict__``, skipping the
+        #: frozen ``__init__``.
+        self._restore = not hasattr(cls, "__post_init__")
+        self._checked: set[tuple[tuple, tuple]] = set()
+
+    def template(self, **fixed: Any) -> tuple[str, tuple[str, ...]]:
+        """The kind's JSONL line, newline included: keys sorted, ``type``
+        and the ``fixed`` fields rendered, a ``%s`` slot for every other
+        field.  Returns the template and its slots' field names."""
+        parts, slots = [], []
+        for key in sorted((*self.names, "type")):
+            if key == "type":
+                value = _ENCODE(self.tag).replace("%", "%%")
+            elif key in fixed:
+                value = json_value(fixed[key]).replace("%", "%%")
+            else:
+                value = "%s"
+                slots.append(key)
+            parts.append(f"{_ENCODE(key)}: {value}")
+        return "{" + ", ".join(parts) + "}\n", tuple(slots)
+
+    def decode(self, record: dict[str, Any]) -> Event:
+        """Construct the event from a JSON record without its ``type`` key
+        (the record may be consumed), checking every field against its
+        annotation (``TypeError`` on a mismatch); unknown keys are
+        ignored.  Complete records of a ``(keys, value types)`` signature
+        already checked skip the per-field check."""
+        signature = (tuple(record), tuple(map(type, record.values())))
+        if signature in self._checked:
+            return self._build(record)
+        kwargs = {}
+        shapes = self._shapes
+        for name, value in record.items():
+            shape = shapes.get(name)
+            if shape is None:
+                continue
+            ann, types, items_ok = shape
+            if type(value) not in types or (
+                items_ok is not None and not items_ok(value)
+            ):
+                raise TypeError(
+                    f"{self.tag} field {name!r} must be {ann}, "
+                    f"got {repr(value):.60}"
+                )
+            kwargs[name] = value
+        complete = len(kwargs) == len(record) == len(self.names)
+        if complete and self._restore and len(self._checked) < 64:
+            self._checked.add(signature)
+        return self._build(kwargs)
+
+    def _build(self, kwargs: dict[str, Any]) -> Event:
+        if self._restore and len(kwargs) == len(self.names):
+            event = object.__new__(self.cls)
+            event.__dict__.update(kwargs)
+            return event
+        return self.cls(**kwargs)
+
+
+_PLANS: dict[type, FieldPlan] = {}
+
+
+def field_plan(cls: type[Event]) -> FieldPlan:
+    """The :class:`FieldPlan` of an event class (built once per class)."""
+    plan = _PLANS.get(cls)
+    if plan is None:
+        plan = _PLANS[cls] = FieldPlan(cls)
+    return plan
+
+
+_PLAN_BY_TAG = {tag: field_plan(cls) for tag, cls in EVENT_TYPES.items()}
+
+
 def parse_event(record: dict[str, Any]) -> Event:
     """Reconstruct a typed event from its :meth:`Event.to_dict` form.
 
     Unknown extra keys are ignored (forward compatibility); a missing or
-    unknown ``type`` raises ``ValueError``.
+    unknown ``type`` raises ``ValueError``, a field whose value does not
+    match its annotation ``TypeError``.
     """
-    tag = record.get("type")
-    cls = EVENT_TYPES.get(tag) if isinstance(tag, str) else None
-    if cls is None:
+    kwargs = dict(record)
+    tag = kwargs.pop("type", None)
+    plan = _PLAN_BY_TAG.get(tag) if isinstance(tag, str) else None
+    if plan is None:
         raise ValueError(f"unknown event type {tag!r}")
-    names = {f.name for f in fields(cls)}
-    return cls(**{k: v for k, v in record.items() if k in names})
+    return plan.decode(kwargs)
 
 
 @contextmanager
@@ -1178,13 +1316,9 @@ class ColumnarSink(EventSink):
         a flat per-object estimate for loose events."""
         return self._nbytes
 
-    def iter_events(self) -> Iterator[Event]:
+    def iter_events(self) -> "SinkStream":
         """The full stream in emission order, blocks expanded lazily."""
-        for item in self._items:
-            if isinstance(item, RoundBlock):
-                yield from iter_block_events(item)
-            else:
-                yield item
+        return SinkStream(self._items)
 
     @property
     def events(self) -> list[Event]:
@@ -1194,6 +1328,45 @@ class ColumnarSink(EventSink):
     def blocks(self) -> Iterable[RoundBlock]:
         """The raw blocks captured, in order."""
         return [b for b in self._items if isinstance(b, RoundBlock)]
+
+
+def _expand(items: list[Any]) -> Iterator[Event]:
+    for item in items:
+        if isinstance(item, RoundBlock):
+            yield from iter_block_events(item)
+        else:
+            yield item
+
+
+class SinkStream:
+    """Iterator over a :class:`ColumnarSink`'s stream, blocks expanded
+    lazily.  Until iteration starts, :func:`stream_items` can take the
+    sink's raw blocks and loose events from it instead, so a
+    block-aware writer never materializes the per-decision events."""
+
+    __slots__ = ("_items", "_events")
+
+    def __init__(self, items: list[Any]) -> None:
+        self._items = items
+        self._events: Optional[Iterator[Event]] = None
+
+    def __iter__(self) -> "SinkStream":
+        return self
+
+    def __next__(self) -> Event:
+        if self._events is None:
+            self._events = _expand(self._items)
+        return next(self._events)
+
+
+def stream_items(events: Iterable[Event]) -> Iterator[Any]:
+    """``events`` as loose events and :class:`RoundBlock`\\ s: the raw
+    items of an unstarted :class:`SinkStream` (consuming it), else the
+    events themselves."""
+    if isinstance(events, SinkStream) and events._events is None:
+        events._events = iter(())
+        return iter(events._items)
+    return iter(events)
 
 
 #: The canonical disabled sink — the default "current" sink.

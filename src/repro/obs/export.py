@@ -29,11 +29,13 @@ log format interchangeably.
 
 from __future__ import annotations
 
+import itertools
 import json
 import struct
-from dataclasses import fields
 from pathlib import Path
 from typing import Any, BinaryIO, Iterable, Iterator, Optional, Sequence
+
+import numpy as np
 
 from repro.errors import decoding
 from repro.obs.events import (
@@ -60,6 +62,7 @@ from repro.obs.events import (
     RecoveryEvent,
     RequestEvent,
     RequestTimeout,
+    RoundBlock,
     RoundEnd,
     RoundStart,
     RunEnd,
@@ -70,7 +73,11 @@ from repro.obs.events import (
     TimeoutEvent,
     ValidationEvent,
     WinnerEvent,
+    field_plan,
+    iter_block_events,
+    json_value,
     parse_event,
+    stream_items,
 )
 
 __all__ = [
@@ -86,6 +93,7 @@ __all__ = [
     "read_events_binary",
     "iter_events_binary",
     "open_event_stream",
+    "iter_event_logs",
     "events_to_chrome_trace",
     "write_chrome_trace",
     "validate_chrome_trace",
@@ -101,16 +109,110 @@ EVENTS_KIND = "repro-events"
 # -- JSONL event log ---------------------------------------------------------
 
 
+#: The JSONL header line, newline included.
+_HEADER_LINE = (
+    json.dumps(
+        {"kind": EVENTS_KIND, "schema_version": EVENT_SCHEMA_VERSION},
+        sort_keys=True,
+    )
+    + "\n"
+)
+
+
+def _event_line(event: Event) -> str:
+    """The event's JSONL line, byte-identical to
+    ``json.dumps(event.to_dict(), sort_keys=True) + "\\n"``."""
+    plan = field_plan(type(event))
+    return plan.line % tuple(map(json_value, plan.sorted_values(event)))
+
+
+def _block_template(cls: type[Event], slots: tuple[str, ...], **fixed: Any) -> str:
+    template, got = field_plan(cls).template(**fixed)
+    if got != slots:  # pragma: no cover - schema drift guard
+        raise TypeError(f"{cls.__name__} block slots {got} != {slots}")
+    return template
+
+
+_START = _block_template(RoundStart, ("round", "t"), region=-1)
+_BID = _block_template(
+    BidEvent, ("agent", "obj", "round", "t", "value"), region=-1
+)
+_WINNER = _block_template(
+    WinnerEvent,
+    ("agent", "obj", "obj_size", "residual_before", "round", "t", "value"),
+    region=-1,
+)
+_NN = _block_template(NNUpdateEvent, ("agents", "obj", "round", "t"))
+_END = _block_template(RoundEnd, ("committed", "otc", "round", "t"), region=-1)
+
+
+def _block_lines(block: RoundBlock) -> Iterator[list[str]]:
+    """Per round, the JSONL lines of ``iter_block_events(block)``,
+    formatted straight from the block's columns (same values, same
+    ``t += step`` timestamps) without building an event."""
+    t, step = float(block.t0), float(block.t_step)
+    # Finite stamps render as repr; a block whose stamps could leave the
+    # finite range takes the per-event path.
+    if not abs(t) + abs(step) * block.n_events < 1e300:
+        for event in iter_block_events(block):
+            yield [_event_line(event)]
+        return
+    payment = _block_template(
+        PaymentEvent, ("agent", "amount", "round", "t"),
+        region=-1, rule=block.payment_rule,
+    )
+    m = int(block.n_agents)
+    finite = np.isfinite(block.bid_vals)
+    columns = zip(
+        block.winners.tolist(), block.objs.tolist(), block.obj_sizes.tolist(),
+        block.residuals.tolist(), block.payments.tolist(), block.otcs.tolist(),
+    )
+    for i, (winner, obj, size, residual, amount, otc) in enumerate(columns):
+        rnd = int(block.base_round) + i
+        lines = [_START % (rnd, t)]
+        t += step
+        agents = np.flatnonzero(finite[i])
+        bids = zip(
+            agents.tolist(),
+            block.bid_objs[i, agents].tolist(),
+            block.bid_vals[i, agents].tolist(),
+        )
+        for agent, bid_obj, value in bids:
+            lines.append(_BID % (agent, bid_obj, rnd, t, value))
+            t += step
+        if winner >= 0:
+            value = json_value(float(block.bid_vals[i, winner]))
+            lines.append(
+                _WINNER % (winner, obj, int(size), residual, rnd, t, value)
+            )
+            t += step
+            lines.append(payment % (winner, json_value(amount), rnd, t))
+            t += step
+            lines.append(_NN % (m, obj, rnd, t))
+            t += step
+        lines.append(_END % (int(winner >= 0), json_value(otc), rnd, t))
+        t += step
+        yield lines
+
+
+def _line_batches(events: Iterable[Event]) -> Iterator[list[str]]:
+    """The stream's JSONL lines, one batch per block round or loose event."""
+    for item in stream_items(events):
+        if isinstance(item, RoundBlock):
+            yield from _block_lines(item)
+        else:
+            yield [_event_line(item)]
+
+
 def write_events_jsonl(events: Iterable[Event], path: str | Path) -> Path:
     """Write the stream as JSON Lines: a header record, then one event
-    per line.  Returns the path written."""
+    per line, streamed one block round at a time.  Returns the path
+    written."""
     out = Path(path)
-    header = {"kind": EVENTS_KIND, "schema_version": EVENT_SCHEMA_VERSION}
-    lines = [json.dumps(header, sort_keys=True)]
-    lines.extend(
-        json.dumps(e.to_dict(), sort_keys=True) for e in events
-    )
-    out.write_text("\n".join(lines) + "\n")
+    with open(out, "w", encoding="utf-8") as f:
+        f.write(_HEADER_LINE)
+        for lines in _line_batches(events):
+            f.write("".join(lines))
     return out
 
 
@@ -149,6 +251,10 @@ def iter_events_jsonl(path: str | Path) -> Iterator[Event]:
     return _typed_decode(path, _iter_events_jsonl(path))
 
 
+#: Decodes one JSON value off the front of a line, returning its end.
+_RAW_DECODE = json.JSONDecoder().raw_decode
+
+
 def _iter_events_jsonl(path: str | Path) -> Iterator[Event]:
     with open(path, encoding="utf-8") as f:
         first = f.readline()
@@ -156,13 +262,19 @@ def _iter_events_jsonl(path: str | Path) -> Iterator[Event]:
             raise ValueError("empty event log")
         _check_jsonl_header(first)
         for i, line in enumerate(f, start=2):
-            if not line.strip():
+            line = line.strip()
+            if not line:
                 continue
-            record = json.loads(line)
             try:
-                yield parse_event(record)
+                record, end = _RAW_DECODE(line)
+                if end != len(line):
+                    raise ValueError(f"Extra data at column {end + 1}")
+                if not isinstance(record, dict):
+                    raise ValueError("record is not a JSON object")
+                event = parse_event(record)
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"line {i}: {exc}") from exc
+            yield event
 
 
 def read_events_jsonl(path: str | Path) -> list[Event]:
@@ -251,13 +363,9 @@ class RotatingJsonlWriter:
         )
         self._file = open(target, "w", encoding="utf-8")
         self.paths.append(target)
-        header = json.dumps(
-            {"kind": EVENTS_KIND, "schema_version": EVENT_SCHEMA_VERSION},
-            sort_keys=True,
-        )
-        self._file.write(header + "\n")
+        self._file.write(_HEADER_LINE)
         self._chunk_events = 0
-        self._chunk_bytes = len(header) + 1
+        self._chunk_bytes = len(_HEADER_LINE)
 
     def _should_rotate(self, incoming: int) -> bool:
         if not self._rotating or self._chunk_events == 0:
@@ -270,7 +378,9 @@ class RotatingJsonlWriter:
         )
 
     def write(self, event: Event) -> None:
-        line = json.dumps(event.to_dict(), sort_keys=True) + "\n"
+        self._write_line(_event_line(event))
+
+    def _write_line(self, line: str) -> None:
         if self._file is None or self._should_rotate(len(line)):
             self._open_next()
         assert self._file is not None
@@ -280,8 +390,9 @@ class RotatingJsonlWriter:
         self.events_written += 1
 
     def write_all(self, events: Iterable[Event]) -> None:
-        for event in events:
-            self.write(event)
+        for lines in _line_batches(events):
+            for line in lines:
+                self._write_line(line)
 
     def close(self) -> None:
         if self._file is None:
@@ -312,18 +423,9 @@ _I64 = struct.Struct("<q")
 _F64 = struct.Struct("<d")
 
 #: Field codecs are keyed by the *annotation string* of the dataclass
-#: field (``from __future__ import annotations`` keeps them strings).
-#: Every event field is one of exactly these six shapes; adding a new
-#: shape to an event class without extending this table is a hard error
-#: at write time, not silent corruption.
-_FIELD_ANNOTATIONS = (
-    "float",
-    "int",
-    "bool",
-    "str",
-    "tuple[int, ...]",
-    "tuple[tuple[int, int], ...]",
-)
+#: field (``from __future__ import annotations`` keeps them strings);
+#: :class:`~repro.obs.events.FieldPlan` rejects any other shape when an
+#: event class's plan is built.
 
 
 def _encode_field(ann: str, value: Any, out: bytearray) -> None:
@@ -374,17 +476,6 @@ def _decode_field(ann: str, buf: bytes, off: int) -> tuple[Any, int]:
     raise TypeError(f"no binary codec for field annotation {ann!r}")
 
 
-def _event_field_plan(cls: type[Event]) -> list[tuple[str, str]]:
-    """``(name, annotation)`` per field, in dataclass declaration order."""
-    plan = [(f.name, f.type) for f in fields(cls)]
-    for _, ann in plan:
-        if ann not in _FIELD_ANNOTATIONS:
-            raise TypeError(
-                f"{cls.__name__} field annotation {ann!r} has no binary codec"
-            )
-    return plan
-
-
 def write_events_binary(events: Iterable[Event], path: str | Path) -> Path:
     """Write the stream in the length-prefixed binary format.
 
@@ -399,7 +490,6 @@ def write_events_binary(events: Iterable[Event], path: str | Path) -> Path:
     out = Path(path)
     tags = list(EVENT_TYPES)
     index = {tag: i for i, tag in enumerate(tags)}
-    plans = {tag: _event_field_plan(cls) for tag, cls in EVENT_TYPES.items()}
     with open(out, "wb") as f:
         f.write(BINARY_MAGIC)
         f.write(_U8.pack(BINARY_VERSION))
@@ -410,11 +500,11 @@ def write_events_binary(events: Iterable[Event], path: str | Path) -> Path:
             f.write(raw)
         payload = bytearray()
         for event in events:
-            tag = event.type
+            plan = field_plan(type(event))
             payload.clear()
-            for name, ann in plans[tag]:
-                _encode_field(ann, getattr(event, name), payload)
-            f.write(_U8.pack(index[tag]))
+            for (_, ann), value in zip(plan.fields, plan.values(event)):
+                _encode_field(ann, value, payload)
+            f.write(_U8.pack(index[event.type]))
             f.write(_U32.pack(len(payload)))
             f.write(payload)
     return out
@@ -449,7 +539,7 @@ def _iter_events_binary(path: str | Path) -> Iterator[Event]:
             )
         n_kinds = _U16.unpack(_read_exact(f, 2, "kind table"))[0]
         classes: list[type[Event]] = []
-        plans: list[list[tuple[str, str]]] = []
+        plans: list[tuple[tuple[str, str], ...]] = []
         for _ in range(n_kinds):
             tag_len = _U8.unpack(_read_exact(f, 1, "kind table"))[0]
             tag = _read_exact(f, tag_len, "kind table").decode("utf-8")
@@ -457,7 +547,7 @@ def _iter_events_binary(path: str | Path) -> Iterator[Event]:
             if cls is None:
                 raise ValueError(f"unknown event kind {tag!r} in binary log")
             classes.append(cls)
-            plans.append(_event_field_plan(cls))
+            plans.append(field_plan(cls).fields)
         while True:
             head = f.read(1)
             if not head:
@@ -494,6 +584,14 @@ def open_event_stream(path: str | Path) -> Iterator[Event]:
     return iter_events_jsonl(path)
 
 
+def iter_event_logs(paths: Sequence[str | Path]) -> Iterator[Event]:
+    """One lazy stream over logical event logs: each path resolved to its
+    files by :func:`event_log_chunks`, each file decoded by
+    :func:`open_event_stream`."""
+    files = [chunk for path in paths for chunk in event_log_chunks(path)]
+    return itertools.chain.from_iterable(map(open_event_stream, files))
+
+
 # -- Chrome trace-event JSON -------------------------------------------------
 
 #: Process id used for every trace event (one mechanism process).
@@ -505,6 +603,69 @@ _CENTRAL_TID = 0
 def _us(t: float, t0: float) -> float:
     """Rebased microseconds (the trace-event time unit)."""
     return (t - t0) * 1e6
+
+
+#: Instant ("i") events per kind: (name, track field, always, args).
+#: ``name`` formats the event as ``{0}``.  The instant lands on the
+#: track of the agent the track field names (tid ``agent + 1``) when it
+#: is >= 0 or ``always``, else on the central track.
+_INSTANTS: dict[type, tuple[str, Optional[str], bool, Any]] = {
+    BidEvent: ("bid", "agent", True, lambda e: {"obj": e.obj, "value": e.value}),
+    WinnerEvent: ("winner", "agent", True, lambda e: {
+        "obj": e.obj, "value": e.value, "round": e.round}),
+    PaymentEvent: ("payment", "agent", True, lambda e: {
+        "amount": e.amount, "rule": e.rule, "round": e.round}),
+    CapacityReject: ("capacity_reject", "agent", True, lambda e: {
+        "obj": e.obj, "obj_size": e.obj_size, "residual": e.residual}),
+    NNUpdateEvent: ("nn_update", None, False, lambda e: {
+        "obj": e.obj, "agents": e.agents, "round": e.round}),
+    FaultEvent: ("fault:{0.kind}", "agent", False, lambda e: {
+        "target": e.target, "detail": e.detail, "round": e.round}),
+    TimeoutEvent: ("bid_timeout", None, False, lambda e: {
+        "agents": list(e.agents), "expected": e.expected,
+        "received": e.received, "quorum_met": e.quorum_met, "round": e.round}),
+    ElectionEvent: ("election", None, False, lambda e: {
+        "candidate": e.candidate, "voters": e.voters, "round": e.round}),
+    CheckpointEvent: ("checkpoint", None, False, lambda e: {
+        "allocations": e.allocations, "round": e.round}),
+    RecoveryEvent: ("recovery:{0.kind}", "agent", False, lambda e: {
+        "checkpoint_round": e.checkpoint_round, "replayed": e.replayed,
+        "acting_central": e.acting_central, "round": e.round}),
+    ValidationEvent: ("validation:{0.kind}", "agent", False, lambda e: {
+        "obj": e.obj, "value": e.value, "detail": e.detail, "round": e.round}),
+    ManipulationEvent: ("manipulation:{0.kind}", "agent", True, lambda e: {
+        "obj": e.obj, "reported": e.reported, "recomputed": e.recomputed,
+        "round": e.round}),
+    QuarantineEvent: ("quarantine:{0.action}", "agent", True, lambda e: {
+        "strikes": e.strikes, "until_round": e.until_round, "round": e.round}),
+    AdversaryEvent: ("adversary:{0.behavior}", "agent", True, lambda e: {
+        "obj": e.obj, "value": e.value, "detail": e.detail, "round": e.round}),
+    RequestEvent: ("request:{0.outcome}", "replica", False, lambda e: {
+        "obj": e.obj, "kind": e.kind, "latency": e.latency,
+        "attempts": e.attempts, "tick": e.tick}),
+    RequestTimeout: ("request_timeout", "replica", False, lambda e: {
+        "obj": e.obj, "attempt": e.attempt, "tick": e.tick}),
+    HedgeEvent: ("hedge", "backup", False, lambda e: {
+        "obj": e.obj, "primary": e.primary, "winner": e.winner, "tick": e.tick}),
+    ShedEvent: ("shed", None, False, lambda e: {
+        "obj": e.obj, "kind": e.kind, "tokens": e.tokens, "tick": e.tick}),
+    FailoverEvent: ("failover:{0.reason}", "to_server", False, lambda e: {
+        "obj": e.obj, "from": e.from_server, "tick": e.tick}),
+    ReauctionEvent: ("reauction:{0.trigger}", None, False, lambda e: {
+        "objects": list(e.objects), "added": len(e.added),
+        "removed": len(e.removed), "otc_after": e.otc_after, "tick": e.tick}),
+    PartitionEvent: ("partition", None, False, lambda e: {
+        "islands": list(e.islands), "round": e.round}),
+    HealEvent: ("heal", None, False, lambda e: {
+        "islands": list(e.islands), "divergent": e.divergent, "round": e.round}),
+    ReconcileEvent: ("reconcile", None, False, lambda e: {
+        "conflicts": list(e.conflicts), "kept": len(e.kept),
+        "revoked": len(e.revoked), "refunded_capacity": e.refunded_capacity,
+        "round": e.round}),
+    InvariantEvent: ("invariant:{0.invariant}", "agent", False, lambda e: {
+        "round": e.round, "tick": e.tick, "obj": e.obj, "value": e.value,
+        "bound": e.bound, "detail": e.detail}),
+}
 
 
 def events_to_chrome_trace(events: Sequence[Event]) -> dict[str, Any]:
@@ -524,19 +685,6 @@ def events_to_chrome_trace(events: Sequence[Event]) -> dict[str, Any]:
     round_open: dict[int, RoundStart] = {}
     serve_open: list[ServeStart] = []
 
-    def instant(e: Event, name: str, tid: int, args: dict[str, Any]) -> None:
-        trace.append(
-            {
-                "name": name,
-                "ph": "i",
-                "ts": _us(e.t, t0),
-                "pid": _TRACE_PID,
-                "tid": tid,
-                "s": "t",
-                "args": args,
-            }
-        )
-
     def complete(start: Event, end: Event, name: str, args: dict[str, Any]) -> None:
         trace.append(
             {
@@ -551,7 +699,27 @@ def events_to_chrome_trace(events: Sequence[Event]) -> dict[str, Any]:
         )
 
     for e in events:
-        if isinstance(e, RunStart):
+        instant = _INSTANTS.get(type(e))
+        if instant is not None:
+            name, track, always, args = instant
+            tid = _CENTRAL_TID
+            if track is not None:
+                agent = getattr(e, track)
+                if always or agent >= 0:
+                    agents_seen.add(agent)
+                    tid = agent + 1
+            trace.append(
+                {
+                    "name": name.format(e),
+                    "ph": "i",
+                    "ts": _us(e.t, t0),
+                    "pid": _TRACE_PID,
+                    "tid": tid,
+                    "s": "t",
+                    "args": args(e),
+                }
+            )
+        elif isinstance(e, RunStart):
             run_stack.append(e)
         elif isinstance(e, RunEnd):
             if run_stack:
@@ -573,130 +741,6 @@ def events_to_chrome_trace(events: Sequence[Event]) -> dict[str, Any]:
                     f"round {e.round}",
                     {"committed": e.committed, "otc": e.otc},
                 )
-        elif isinstance(e, BidEvent):
-            agents_seen.add(e.agent)
-            instant(e, "bid", e.agent + 1, {"obj": e.obj, "value": e.value})
-        elif isinstance(e, WinnerEvent):
-            agents_seen.add(e.agent)
-            instant(
-                e,
-                "winner",
-                e.agent + 1,
-                {"obj": e.obj, "value": e.value, "round": e.round},
-            )
-        elif isinstance(e, PaymentEvent):
-            agents_seen.add(e.agent)
-            instant(
-                e,
-                "payment",
-                e.agent + 1,
-                {"amount": e.amount, "rule": e.rule, "round": e.round},
-            )
-        elif isinstance(e, CapacityReject):
-            agents_seen.add(e.agent)
-            instant(
-                e,
-                "capacity_reject",
-                e.agent + 1,
-                {"obj": e.obj, "obj_size": e.obj_size, "residual": e.residual},
-            )
-        elif isinstance(e, NNUpdateEvent):
-            instant(
-                e,
-                "nn_update",
-                _CENTRAL_TID,
-                {"obj": e.obj, "agents": e.agents, "round": e.round},
-            )
-        elif isinstance(e, FaultEvent):
-            tid = _CENTRAL_TID if e.agent < 0 else e.agent + 1
-            if e.agent >= 0:
-                agents_seen.add(e.agent)
-            instant(
-                e,
-                f"fault:{e.kind}",
-                tid,
-                {"target": e.target, "detail": e.detail, "round": e.round},
-            )
-        elif isinstance(e, TimeoutEvent):
-            instant(
-                e,
-                "bid_timeout",
-                _CENTRAL_TID,
-                {
-                    "agents": list(e.agents),
-                    "expected": e.expected,
-                    "received": e.received,
-                    "quorum_met": e.quorum_met,
-                    "round": e.round,
-                },
-            )
-        elif isinstance(e, ElectionEvent):
-            instant(
-                e,
-                "election",
-                _CENTRAL_TID,
-                {"candidate": e.candidate, "voters": e.voters, "round": e.round},
-            )
-        elif isinstance(e, CheckpointEvent):
-            instant(
-                e,
-                "checkpoint",
-                _CENTRAL_TID,
-                {"allocations": e.allocations, "round": e.round},
-            )
-        elif isinstance(e, RecoveryEvent):
-            tid = _CENTRAL_TID if e.agent < 0 else e.agent + 1
-            if e.agent >= 0:
-                agents_seen.add(e.agent)
-            instant(
-                e,
-                f"recovery:{e.kind}",
-                tid,
-                {
-                    "checkpoint_round": e.checkpoint_round,
-                    "replayed": e.replayed,
-                    "acting_central": e.acting_central,
-                    "round": e.round,
-                },
-            )
-        elif isinstance(e, ValidationEvent):
-            tid = _CENTRAL_TID if e.agent < 0 else e.agent + 1
-            if e.agent >= 0:
-                agents_seen.add(e.agent)
-            instant(
-                e,
-                f"validation:{e.kind}",
-                tid,
-                {"obj": e.obj, "value": e.value, "detail": e.detail,
-                 "round": e.round},
-            )
-        elif isinstance(e, ManipulationEvent):
-            agents_seen.add(e.agent)
-            instant(
-                e,
-                f"manipulation:{e.kind}",
-                e.agent + 1,
-                {"obj": e.obj, "reported": e.reported,
-                 "recomputed": e.recomputed, "round": e.round},
-            )
-        elif isinstance(e, QuarantineEvent):
-            agents_seen.add(e.agent)
-            instant(
-                e,
-                f"quarantine:{e.action}",
-                e.agent + 1,
-                {"strikes": e.strikes, "until_round": e.until_round,
-                 "round": e.round},
-            )
-        elif isinstance(e, AdversaryEvent):
-            agents_seen.add(e.agent)
-            instant(
-                e,
-                f"adversary:{e.behavior}",
-                e.agent + 1,
-                {"obj": e.obj, "value": e.value, "detail": e.detail,
-                 "round": e.round},
-            )
         elif isinstance(e, ServeStart):
             serve_open.append(e)
         elif isinstance(e, ServeEnd):
@@ -714,101 +758,6 @@ def events_to_chrome_trace(events: Sequence[Event]) -> dict[str, Any]:
                         "p99": e.p99,
                     },
                 )
-        elif isinstance(e, RequestEvent):
-            tid = _CENTRAL_TID if e.replica < 0 else e.replica + 1
-            if e.replica >= 0:
-                agents_seen.add(e.replica)
-            instant(
-                e,
-                f"request:{e.outcome}",
-                tid,
-                {"obj": e.obj, "kind": e.kind, "latency": e.latency,
-                 "attempts": e.attempts, "tick": e.tick},
-            )
-        elif isinstance(e, RequestTimeout):
-            tid = _CENTRAL_TID if e.replica < 0 else e.replica + 1
-            if e.replica >= 0:
-                agents_seen.add(e.replica)
-            instant(
-                e,
-                "request_timeout",
-                tid,
-                {"obj": e.obj, "attempt": e.attempt, "tick": e.tick},
-            )
-        elif isinstance(e, HedgeEvent):
-            tid = _CENTRAL_TID if e.backup < 0 else e.backup + 1
-            if e.backup >= 0:
-                agents_seen.add(e.backup)
-            instant(
-                e,
-                "hedge",
-                tid,
-                {"obj": e.obj, "primary": e.primary, "winner": e.winner,
-                 "tick": e.tick},
-            )
-        elif isinstance(e, ShedEvent):
-            instant(
-                e,
-                "shed",
-                _CENTRAL_TID,
-                {"obj": e.obj, "kind": e.kind, "tokens": e.tokens,
-                 "tick": e.tick},
-            )
-        elif isinstance(e, FailoverEvent):
-            tid = _CENTRAL_TID if e.to_server < 0 else e.to_server + 1
-            if e.to_server >= 0:
-                agents_seen.add(e.to_server)
-            instant(
-                e,
-                f"failover:{e.reason}",
-                tid,
-                {"obj": e.obj, "from": e.from_server, "tick": e.tick},
-            )
-        elif isinstance(e, ReauctionEvent):
-            instant(
-                e,
-                f"reauction:{e.trigger}",
-                _CENTRAL_TID,
-                {"objects": list(e.objects), "added": len(e.added),
-                 "removed": len(e.removed), "otc_after": e.otc_after,
-                 "tick": e.tick},
-            )
-        elif isinstance(e, PartitionEvent):
-            instant(
-                e,
-                "partition",
-                _CENTRAL_TID,
-                {"islands": list(e.islands), "round": e.round},
-            )
-        elif isinstance(e, HealEvent):
-            instant(
-                e,
-                "heal",
-                _CENTRAL_TID,
-                {"islands": list(e.islands), "divergent": e.divergent,
-                 "round": e.round},
-            )
-        elif isinstance(e, ReconcileEvent):
-            instant(
-                e,
-                "reconcile",
-                _CENTRAL_TID,
-                {"conflicts": list(e.conflicts), "kept": len(e.kept),
-                 "revoked": len(e.revoked),
-                 "refunded_capacity": e.refunded_capacity,
-                 "round": e.round},
-            )
-        elif isinstance(e, InvariantEvent):
-            tid = _CENTRAL_TID if e.agent < 0 else e.agent + 1
-            if e.agent >= 0:
-                agents_seen.add(e.agent)
-            instant(
-                e,
-                f"invariant:{e.invariant}",
-                tid,
-                {"round": e.round, "tick": e.tick, "obj": e.obj,
-                 "value": e.value, "bound": e.bound, "detail": e.detail},
-            )
 
     # Track naming metadata: process + central + one track per agent.
     meta: list[dict[str, Any]] = [

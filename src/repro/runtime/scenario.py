@@ -324,6 +324,11 @@ class PartitionPlane:
 LOTTERY_BUDGET_MARGIN = 0.2
 #: Upper cap on any lottery ticket's degraded-agent budget.
 LOTTERY_BUDGET_CAP = 0.9
+#: Largest scenario ``horizon`` and ``n_requests``: the random fault and
+#: partition schedules walk every round of the horizon per agent, so a
+#: scenario file must not be able to ask for an unbounded walk.
+MAX_HORIZON = 10_000
+MAX_N_REQUESTS = 1_000_000
 
 
 def expected_degraded_fraction(
@@ -402,13 +407,20 @@ class Scenario:
             raise ConfigurationError(
                 "servers, objects and horizon must be >= 1"
             )
+        if self.horizon > MAX_HORIZON:
+            raise ConfigurationError(
+                f"horizon must be <= {MAX_HORIZON}, got {self.horizon}"
+            )
         if not 1 <= self.regions <= self.servers:
             raise ConfigurationError(
                 f"regions must be in [1, servers={self.servers}], got "
                 f"{self.regions}"
             )
-        if self.n_requests < 1:
-            raise ConfigurationError("n_requests must be >= 1")
+        if not 1 <= self.n_requests <= MAX_N_REQUESTS:
+            raise ConfigurationError(
+                f"n_requests must be in [1, {MAX_N_REQUESTS}], got "
+                f"{self.n_requests}"
+            )
 
     def to_dict(self) -> dict[str, Any]:
         return {

@@ -3,8 +3,10 @@
 A seeded fuzz over truncations and single-bit flips of a small binary
 (REVB) event log, a JSONL event log and a saved ``.npz`` instance: every
 mutated file either decodes or raises
-:class:`~repro.errors.CorruptInputError` (a ``ValueError``).  The CLI
-maps such files — and missing ones — to ``error: …`` and exit 2.
+:class:`~repro.errors.CorruptInputError` (a ``ValueError``).  A JSONL
+record that parses but holds a value of the wrong type for its field is
+rejected the same way, naming the line.  The CLI maps such files — and
+missing ones — to ``error: …`` and exit 2.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from repro.obs.export import (
     write_events_binary,
     write_events_jsonl,
 )
+from repro.runtime.scenario import MAX_HORIZON, MAX_N_REQUESTS
 
 #: Single-bit flips drawn per file (plus every truncation length on a
 #: stride); seeded, so a failure replays exactly.
@@ -111,6 +114,89 @@ def test_cli_audit_of_a_flipped_log_is_a_usage_error(
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.fixture(scope="module")
+def small_log(tmp_path_factory):
+    """The JSONL log of an 8x20 run, as text lines."""
+    inst = paper_instance(
+        ExperimentConfig(
+            n_servers=8, n_objects=20, total_requests=2000, seed=3, name="t"
+        )
+    )
+    with ev.logical_time(), ev.capture() as sink:
+        run_agt_ram(inst)
+    path = tmp_path_factory.mktemp("typed") / "events.jsonl"
+    return write_events_jsonl(sink.iter_events(), path).read_text().splitlines()
+
+
+#: (record type, field, tampered value): each decodes as JSON but has
+#: the wrong type for its field.
+_TAMPERED = [
+    ("bid", "value", "x"),
+    ("bid", "agent", [1]),
+    ("payment", "amount", [1]),
+    ("bid", "agent", "x"),
+    ("winner", "obj_size", True),
+    ("round_end", "committed", 1.0),
+]
+
+
+@pytest.mark.parametrize("kind, name, value", _TAMPERED)
+def test_a_mistyped_field_is_a_usage_error_naming_the_line(
+    small_log, kind, name, value, tmp_path, capsys
+):
+    import json
+
+    lines = list(small_log)
+    i = next(
+        i for i, line in enumerate(lines) if json.loads(line).get("type") == kind
+    )
+    record = json.loads(lines[i])
+    record[name] = value
+    lines[i] = json.dumps(record, sort_keys=True)
+    path = tmp_path / "t.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(CorruptInputError, match=f"line {i + 1}: {kind} field"):
+        read_events_jsonl(path)
+    assert main(["audit", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"line {i + 1}" in err
+
+
+@pytest.mark.parametrize("record", [
+    {"type": "timeout", "t": 0.0, "agents": [1.5]},
+    {"type": "timeout", "t": 0.0, "agents": 3},
+    {"type": "timeout", "t": 0.0, "quorum_met": 1},
+    {"type": "serve_start", "t": 0.0, "replicas": [[1]]},
+    {"type": "serve_start", "t": 0.0, "replicas": [[1, True]]},
+    {"type": "partition", "t": 0.0, "islands": ["0"]},
+    {"type": "round_start", "t": None},
+    {"type": "run_start", "t": 0.0, "algorithm": 7},
+])
+def test_parse_event_checks_each_field_against_its_annotation(record):
+    with pytest.raises(TypeError, match=f"{record['type']} field"):
+        ev.parse_event(record)
+
+
+def test_parse_event_accepts_the_json_forms_of_every_shape():
+    event = ev.parse_event({
+        "type": "reconcile", "t": 3, "conflicts": [1, 2], "kept": [[0, 1]],
+        "revoked": [], "refunded_capacity": 4, "refunded_payment": 2,
+    })
+    assert event == ev.ReconcileEvent(
+        t=3.0, conflicts=(1, 2), kept=((0, 1),), refunded_capacity=4,
+        refunded_payment=2.0,
+    )
+
+
+def test_trailing_garbage_after_a_record_is_rejected(small_log, tmp_path):
+    lines = list(small_log)
+    lines[3] += " {}"
+    path = tmp_path / "t.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(CorruptInputError, match="line 4: Extra data"):
+        read_events_jsonl(path)
+
+
 @pytest.mark.parametrize("case", ["missing", "truncated", "foreign"])
 def test_cli_run_on_a_bad_instance_is_a_usage_error(
     case, originals, tmp_path, capsys
@@ -148,7 +234,7 @@ def test_an_infeasible_instance_file_keeps_its_error_type(tmp_path):
 #: What a mutated scenario JSON puts in place of one value.
 _HOSTILE_VALUES = (
     None, "x", -1, 0, 1.5, 2**40, True, [], {}, [1], [[1]], ["bribe"],
-    {"a": 1}, [None, None], -0.5,
+    {"a": 1}, [None, None], -0.5, MAX_HORIZON + 1, MAX_N_REQUESTS + 1,
 )
 
 
@@ -200,6 +286,18 @@ def test_every_scenario_mutation_decodes_or_raises_the_typed_error():
             Scenario.from_dict(doc)
 
 
+@pytest.mark.parametrize("name, cap", [
+    ("horizon", MAX_HORIZON), ("n_requests", MAX_N_REQUESTS),
+])
+def test_scenario_horizon_and_request_count_are_capped(name, cap):
+    from repro.runtime.scenario import CATALOG, Scenario
+
+    doc = CATALOG["smoke"].to_dict()
+    assert Scenario.from_dict({**doc, name: cap}) is not None
+    with pytest.raises(ConfigurationError, match=name):
+        Scenario.from_dict({**doc, name: cap + 1})
+
+
 def test_cli_replays_a_scenario_file_or_rejects_it(tmp_path, capsys):
     import json
 
@@ -211,7 +309,8 @@ def test_cli_replays_a_scenario_file_or_rejects_it(tmp_path, capsys):
                  "--out-dir", str(tmp_path)]) == 0
     bad = tmp_path / "bad_scenario.json"
     for content in ('{"faults": 3}', '{"adversary": {"window": [1]}}',
-                    '{"regions": 50}', "[1, 2]", "not json"):
+                    '{"regions": 50}', "[1, 2]", "not json",
+                    '{"horizon": 1000000}', '{"n_requests": 100000000}'):
         bad.write_text(content)
         rc = main(["resilience", "--scenario", str(bad),
                    "--out-dir", str(tmp_path)])

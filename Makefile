@@ -99,16 +99,17 @@ obs-gate:
 	python -m repro audit --emission-gate --scale $(OBS_SCALE) \
 		--retries $(OBS_RETRIES)
 
-# bench-json plus the full observability exports: JSONL event log,
-# Perfetto-loadable Chrome trace, OpenMetrics textfile.
+# bench-json plus the full observability exports: JSONL and binary (REVB)
+# event logs, Perfetto-loadable Chrome trace, OpenMetrics textfile.
 trace:
 	REPRO_BENCH_SCALE=$(BENCH_SCALE) python -m repro bench --out bench.json \
-		--events events.jsonl --chrome-trace trace.json \
-		--metrics-out metrics.prom
+		--events events.jsonl --events-binary events.revb \
+		--chrome-trace trace.json --metrics-out metrics.prom
 
-# Offline axiom verification of the recorded event log.
+# Offline axiom verification of the recorded event log, in both codecs.
 audit:
 	python -m repro audit events.jsonl
+	python -m repro audit events.revb
 
 # Seeded fault-injection campaign: lossy channel + crash schedule +
 # central crashes, gated on OTC degradation, then audited offline.
@@ -204,6 +205,6 @@ examples:
 
 clean:
 	rm -rf build dist *.egg-info src/*.egg-info .pytest_cache .ruff_cache \
-		.mypy_cache bench.json events.jsonl trace.json metrics.prom \
+		.mypy_cache bench.json events.jsonl events.revb trace.json metrics.prom \
 		out
 	find . -name __pycache__ -type d -exec rm -rf {} +
